@@ -48,15 +48,19 @@ def read_sequence_file(path, start=0):
             parts = line.split()
             try:
                 if len(parts) == 1:
-                    values[implicit] = Fraction(parts[0])
+                    n, value = implicit, Fraction(parts[0])
                     implicit += 1
                 elif len(parts) == 2:
-                    values[int(parts[0])] = Fraction(parts[1])
+                    n, value = int(parts[0]), Fraction(parts[1])
                 else:
                     raise ValueError("expected 'value' or 'n value'")
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"{path}:{lineno}: {exc}") from None
+            if n in values:
+                raise UsageError(f"{path}:{lineno}: repeated index {n}")
+            values[n] = value
     return values
+
 
 def _dense(values, start, N, what):
     out = []
@@ -77,44 +81,55 @@ def _report_dict(report):
 
 
 def emit(record, fmt, stream=None):
-    if stream is None:
-        stream = sys.stdout
-    if fmt == "json":
-        json.dump(record, stream, indent=2)
-        stream.write("\n")
-        return
+    """Render the whole record, then write it: a rendering error writes nothing."""
     coeffs = record.get("coefficients", [])
-    if fmt == "bfile":
+    if fmt == "json":
+        lines = [json.dumps(record, indent=2)]
+    elif fmt == "bfile":
+        lines = []
         for n, (num, den) in enumerate(coeffs):
             if den != "1":
                 raise UsageError(
                     f"bfile output needs integers; coefficient {n} is {num}/{den}"
                 )
-            stream.write(f"{n} {num}\n")
+            lines.append(f"{n} {num}")
     elif fmt == "csv":
-        stream.write("n,numerator,denominator\n")
-        for n, (num, den) in enumerate(coeffs):
-            stream.write(f"{n},{num},{den}\n")
+        lines = ["n,numerator,denominator"]
+        lines += [f"{n},{num},{den}" for n, (num, den) in enumerate(coeffs)]
     else:
         raise UsageError(f"unknown format {fmt!r}")
+    (sys.stdout if stream is None else stream).write("".join(s + "\n" for s in lines))
 
 
 def _coeff_pairs(values):
     return [[str(Fraction(v).numerator), str(Fraction(v).denominator)] for v in values]
 
 
+# Series parameters shared by expand and verify, in the order they are
+# reported: flag -> parser of its text (None: argparse reads an int).
+_PARAMS = {
+    "r": _parse_rational,
+    "s": _parse_rational,
+    "z": _parse_rational,
+    "a": _parse_rational,
+    "m": None,
+    "k": _parse_rational,
+    "x": lambda text: tuple(_parse_rational_list(text)),
+}
+
+
+def _add_params(p, names, **helps):
+    for name in names:
+        p.add_argument(f"--{name}", type=None if _PARAMS[name] else int,
+                       help=helps.get(name))
+
+
 def _series_params(args):
     params = {}
-    if args.r is not None:
-        params["r"] = _parse_rational(args.r)
-    if args.z is not None:
-        params["z"] = _parse_rational(args.z)
-    if args.a is not None:
-        params["a"] = _parse_rational(args.a)
-    if args.m is not None:
-        params["m"] = args.m
-    if args.x is not None:
-        params["x"] = tuple(_parse_rational_list(args.x))
+    for name, parse in _PARAMS.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            params[name] = value if parse is None else parse(value)
     return params
 
 
@@ -122,7 +137,7 @@ def cmd_expand(args):
     params = _series_params(args)
     try:
         series = identities.named_series(args.name, args.order, **params)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
     record = {
         "name": args.name,
@@ -166,30 +181,18 @@ def cmd_from_g(args):
 
 
 def cmd_verify(args):
-    params = {}
-    if args.r is not None:
-        params["r"] = _parse_rational(args.r)
-    if args.s is not None:
-        params["s"] = _parse_rational(args.s)
-    if args.z is not None:
-        params["z"] = _parse_rational(args.z)
-    if args.m is not None:
-        params["m"] = args.m
-    if args.kpow is not None:
-        params["k"] = _parse_rational(args.kpow)
-    if args.x is not None:
-        params["x"] = tuple(_parse_rational_list(args.x))
-    if args.series is not None:
-        coeffs = _parse_rational_list(args.series)
-        params["Q"] = TruncatedSeries(coeffs, args.order or len(coeffs) - 1)
-    elif args.key == "pr_ps" and args.random_series:
-        rng = random.Random(args.seed)
-        N = args.order or 40
-        coeffs = [Fraction(1)] + [
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(N)
-        ]
-        params["Q"] = TruncatedSeries(coeffs)
+    params = _series_params(args)
     try:
+        if args.series is not None:
+            coeffs = _parse_rational_list(args.series)
+            params["Q"] = TruncatedSeries(coeffs, args.order or len(coeffs) - 1)
+        elif args.key == "pr_ps" and args.random_series:
+            rng = random.Random(args.seed)
+            N = args.order or 40
+            coeffs = [Fraction(1)] + [
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(N)
+            ]
+            params["Q"] = TruncatedSeries(coeffs)
         report = identities.verify(args.key, N=args.order, **params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -218,36 +221,33 @@ def cmd_congruence(args):
 
 
 def cmd_roots_check(args):
+    if args.m is not None and (args.t is None or args.s is None):
+        raise UsageError("--m needs --t and --s")
     values = read_sequence_file(args.input, start=0)
     P = _dense(values, 0, args.order, "P")
     if P[0] != 1:
         raise UsageError("input series must have constant term 1")
-    status = 0
     result = roots.integrality_check(P)
-    print(
+    lines = [
         f"integrality: P integral={result.p_integral} "
         f"b integral={result.b_integral}"
-    )
-    if result.p_integral != result.b_integral:
-        status = 1
-    if args.p is not None:
-        r = int(args.r) if args.r is not None else 1
-        rep = roots.prime_power_divisibility(P, args.p, r)
-        verdict = "pass" if rep.passed else "FAIL"
-        print(f"divisibility p={args.p} r={r}: {verdict}")
-        if not rep.passed:
-            status = 1
-    if args.m is not None:
-        if args.t is None or args.s is None:
-            raise UsageError("--m needs --t and --s")
-        try:
+    ]
+    ok = result.p_integral == result.b_integral
+    try:
+        if args.p is not None:
+            rep = roots.prime_power_divisibility(P, args.p, args.r)
+            verdict = "pass" if rep.passed else "FAIL"
+            lines.append(f"divisibility p={args.p} r={args.r}: {verdict}")
+            ok = ok and rep.passed
+        if args.m is not None:
             _, integral = roots.root_integrality(P, args.m, args.t, args.s)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        print(f"root m={args.m} s={args.s}: integral={integral}")
-        if not integral:
-            status = 1
-    return status
+            lines.append(f"root m={args.m} s={args.s}: integral={integral}")
+            ok = ok and integral
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    # written only now, so that an input error leaves stdout empty
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 def build_parser():
@@ -261,11 +261,7 @@ def build_parser():
     p.add_argument("name", help=f"one of: {', '.join(identities.SERIES_NAMES)}")
     p.add_argument("--order", "-n", type=int, default=20)
     p.add_argument("--format", default="json", choices=["json", "bfile", "csv"])
-    p.add_argument("--r")
-    p.add_argument("--z")
-    p.add_argument("--a")
-    p.add_argument("--m", type=int)
-    p.add_argument("--x", help="comma-separated rationals for symmetric()")
+    _add_params(p, "rzamx", x="comma-separated rationals for symmetric()")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("to-product", help="series -> product exponents b")
@@ -284,12 +280,8 @@ def build_parser():
     p.add_argument("key", help=f"one of: {', '.join(identities.IDENTITY_KEYS)}")
     p.add_argument("--order", "-n", type=int)
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.add_argument("--r")
-    p.add_argument("--s")
-    p.add_argument("--z")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", dest="kpow", help="power parameter for squares/triangular")
-    p.add_argument("--x", help="comma-separated rationals for newton_symmetric")
+    _add_params(p, "rszmkx", k="power parameter for squares/triangular",
+                x="comma-separated rationals for newton_symmetric")
     p.add_argument("--series", help="comma-separated coefficients of Q")
     p.add_argument("--random-series", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -306,11 +298,10 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--order", "-n", type=int, required=True)
     p.add_argument("--p", type=int, help="prime for divisibility check")
-    p.add_argument("--r", help="prime power exponent")
+    p.add_argument("--r", type=int, default=1, help="prime power exponent")
     p.add_argument("--m", type=int, help="root base")
     p.add_argument("--t", type=int, help="divisibility exponent hypothesis")
     p.add_argument("--s", type=int, help="root exponent, s < t")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_roots_check)
 
     return parser

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .arith import padic_valuation
 from .identities import partition_power
-from .report import IdentityReport, check_all
+from .report import check_all
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,15 @@ def _check_residue(fam, r):
     return r
 
 
+def _check_m(M):
+    if M < 0:
+        raise ValueError(f"max m must be non-negative, got {M}")
+
+
 def check_family(fam, r, M):
     """Verify v_p(P_r(p*m + k)) >= 1 for 0 <= m <= M; exact, reported per index."""
     r = _check_residue(fam, r)
+    _check_m(M)
     p, k = fam.modulus, fam.k
     N = p * M + k
     P = partition_power(r, N, method="triangular")
@@ -79,6 +85,7 @@ def scan(p, r_candidates, M):
     """
     if p not in (3, 5):
         raise ValueError("p must be 3 or 5")
+    _check_m(M)
     table = {}
     for r in r_candidates:
         r = Fraction(r)

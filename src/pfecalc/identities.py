@@ -18,7 +18,7 @@ from .arith import (
 )
 from .series import TruncatedSeries, power_rational
 from .pfe import build_product_matrix, column_weight_sums, enumerate_pfe
-from .report import IdentityReport, check_all
+from .report import check_all
 from . import oracle
 
 
@@ -199,7 +199,10 @@ def named_series(name, order, **params):
         builder = _SERIES_BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown series name: {name!r}") from None
-    return builder(order, params)
+    try:
+        return builder(order, params)
+    except KeyError as exc:
+        raise ValueError(f"series {name!r} needs the parameter {exc.args[0]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,36 +212,16 @@ def named_series(name, order, **params):
 def partition_power(r, N, method="triangular"):
     """Coefficients of the r-th power of 1/(q;q)_inf, as a list 0..N.
 
-    method selects the recurrence: "triangular" runs over the triangular-number
-    support (Jacobi cube), "pentagonal" over the pentagonal support (Euler
-    product), "direct" uses the general series-power recurrence.  All agree.
+    method selects the base of the series-power recurrence, which runs over
+    the base's nonzero support only: "triangular" takes the (-r/3)-th power
+    of the Jacobi cube, "pentagonal" and "direct" the (-r)-th power of the
+    Euler product.  All agree.
     """
     r = Fraction(r)
-    if method == "direct":
+    if method in ("direct", "pentagonal"):
         return list(power_rational(pentagonal_series(N), -r).coeffs)
-    P = [Fraction(1)] + [Fraction(0)] * N
-    if method == "pentagonal":
-        support = [(j, g) for j, g in generalized_pentagonals(N) if j != 0]
-        for n in range(1, N + 1):
-            total = Fraction(0)
-            for j, g in support:
-                if g > n:
-                    continue
-                sign = -1 if j % 2 else 1
-                total += -sign * (n + (r - 1) * g) * P[n - g]
-            P[n] = total / n
-        return P
     if method == "triangular":
-        support = [(j, t) for j, t in triangular_numbers(N) if j != 0]
-        for n in range(1, N + 1):
-            total = Fraction(0)
-            for j, t in support:
-                if t > n:
-                    continue
-                sign = -1 if j % 2 else 1
-                total += -sign * (2 * j + 1) * (n + (r / 3 - 1) * t) * P[n - t]
-            P[n] = total / n
-        return P
+        return list(power_rational(jacobi_cube_series(N), -r / 3).coeffs)
     raise ValueError(f"unknown method: {method!r}")
 
 
@@ -279,6 +262,32 @@ def _sigma1(n):
     return sigma(1, n)
 
 
+def _log_derivative_pairs(N, g, P):
+    for n in range(1, N + 1):
+        yield n, sum(g[k] * P[n - k] for k in range(1, n + 1)), n * P[n]
+
+
+def _log_derivative_check(name, N, g, P):
+    """Check sum_{k<=n} g(k) P(n-k) = n P(n) for 1 <= n <= N."""
+    return check_all(name, N, _log_derivative_pairs(N, g, P))
+
+
+def _power_check(name, N, Q, k, B):
+    """Check sum_{Q(j) != 0} (n - (k+1) j) Q(j) B(n-j) = 0 for 1 <= n <= N.
+
+    This is the two-power recurrence that B = Q^k satisfies when Q(0) = 1.
+    """
+    k = Fraction(k)
+    support = [(j, Q[j]) for j in range(N + 1) if Q[j]]
+
+    def pairs():
+        for n in range(1, N + 1):
+            total = sum((n - (k + 1) * j) * q * B[n - j] for j, q in support if j <= n)
+            yield n, total, Fraction(0)
+
+    return check_all(name, N, pairs())
+
+
 def _sign(j):
     # parity sign that stays an int for negative j, unlike (-1) ** j
     return -1 if j % 2 else 1
@@ -299,37 +308,19 @@ def _verify_euler_sigma(N):
 
 
 def _verify_ramanujan_partition(N):
-    p = partition_series(N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = sum(_sigma1(d) * p[n - d] for d in range(1, n + 1))
-            yield n, lhs, n * p[n]
-
-    return check_all("ramanujan_partition", N, pairs())
+    g = [0] + [_sigma1(k) for k in range(1, N + 1)]
+    return _log_derivative_check("ramanujan_partition", N, g, partition_series(N))
 
 
 def _verify_plane_partition(N):
-    PL = plane_partition_series(N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = sum(sigma(2, d) * PL[n - d] for d in range(1, n + 1))
-            yield n, lhs, n * PL[n]
-
-    return check_all("plane_partition", N, pairs())
+    g = [0] + [sigma(2, k) for k in range(1, N + 1)]
+    return _log_derivative_check("plane_partition", N, g, plane_partition_series(N))
 
 
 def _verify_colored(N, r):
     r = Fraction(r)
-    pr = colored_series(r, N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = r * sum(_sigma1(d) * pr[n - d] for d in range(1, n + 1))
-            yield n, lhs, n * pr[n]
-
-    return check_all("colored", N, pairs())
+    g = [0] + [r * _sigma1(k) for k in range(1, N + 1)]
+    return _log_derivative_check("colored", N, g, colored_series(r, N))
 
 
 def _verify_moments(N, m):
@@ -426,117 +417,46 @@ def _verify_pr_ps(N, r, s, Q=None):
     r, s = Fraction(r), Fraction(s)
     if s == 0:
         raise ValueError("s must be nonzero")
-    if Q is None:
-        Q = partition_series(N)
-    else:
-        Q = Q.truncate(N)
-    Pr = power_rational(Q, r)
+    Q = partition_series(N) if Q is None else Q.truncate(N)
     Ps = power_rational(Q, s)
-    ratio = r / s + 1
-
-    def pairs():
-        for n in range(1, N + 1):
-            total = sum(
-                (n - ratio * j) * Pr[n - j] * Ps[j] for j in range(n + 1)
-            )
-            yield n, total, Fraction(0)
-
-    return check_all(f"pr_ps[r={r},s={s}]", N, pairs())
+    return _power_check(f"pr_ps[r={r},s={s}]", N, Ps, r / s, power_rational(Q, r))
 
 
 def _verify_lehmer_gen(N, r):
     r = Fraction(r)
     P = partition_power(r, N, method="direct")
-    support = generalized_pentagonals(N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            total = Fraction(0)
-            for j, g in support:
-                if g <= n:
-                    total += _sign(j) * (n + (r - 1) * g) * P[n - g]
-            yield n, total, Fraction(0)
-
-    return check_all(f"lehmer_gen[r={r}]", N, pairs())
+    return _power_check(f"lehmer_gen[r={r}]", N, pentagonal_series(N), -r, P)
 
 
 def _verify_ramanujan_gen(N, r):
     r = Fraction(r)
     P = partition_power(r, N, method="direct")
-    support = triangular_numbers(N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            total = Fraction(0)
-            for j, t in support:
-                if t <= n:
-                    total += (-1) ** j * (2 * j + 1) * (n + (r / 3 - 1) * t) * P[n - t]
-            yield n, total, Fraction(0)
-
-    return check_all(f"ramanujan_gen[r={r}]", N, pairs())
+    return _power_check(f"ramanujan_gen[r={r}]", N, jacobi_cube_series(N), -r / 3, P)
 
 
 def _verify_fibonacci_power(N, r):
     r = Fraction(r)
     f = fibonacci_power_series(r, N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = n * f[n]
-            rhs = (n + r - 1) * f[n - 1] + (n + 2 * (r - 1)) * f[n - 2]
-            yield n, lhs, rhs
-
-    return check_all(f"fibonacci_power[r={r}]", N, pairs())
+    Q = TruncatedSeries([1, -1, -1], N)
+    return _power_check(f"fibonacci_power[r={r}]", N, Q, -r, f)
 
 
 def _verify_squares_rec(N, k):
     k = Fraction(k)
-    rk = power_rational(phi_series(N), k)
-
-    def pairs():
-        for n in range(1, N + 1):
-            total = n * rk[n]
-            j = 1
-            while j * j <= n:
-                total += 2 * (n - (k + 1) * j * j) * rk[n - j * j]
-                j += 1
-            yield n, total, Fraction(0)
-
-    return check_all(f"squares_rec[k={k}]", N, pairs())
+    phi = phi_series(N)
+    return _power_check(f"squares_rec[k={k}]", N, phi, k, power_rational(phi, k))
 
 
 def _verify_triangular_rec(N, k):
     k = Fraction(k)
-    tk = power_rational(psi_series(N), k)
-    tris = [(j, t) for j, t in triangular_numbers(N) if j >= 1]
-
-    def pairs():
-        for n in range(1, N + 1):
-            total = n * tk[n]
-            for _, t in tris:
-                if t <= n:
-                    total += (n - (k + 1) * t) * tk[n - t]
-            yield n, total, Fraction(0)
-
-    return check_all(f"triangular_rec[k={k}]", N, pairs())
+    psi = psi_series(N)
+    return _power_check(f"triangular_rec[k={k}]", N, psi, k, power_rational(psi, k))
 
 
 def _verify_jtp_power_rec(N, r, z):
     r, z = Fraction(r), Fraction(z)
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    Jr = power_rational(jtp_series(z, N), r)
-
-    def pairs():
-        for n in range(1, N + 1):
-            total = n * Jr[n]
-            j = 1
-            while j * j <= n:
-                total += (n - (r + 1) * j * j) * (z ** j + z ** -j) * Jr[n - j * j]
-                j += 1
-            yield n, total, Fraction(0)
-
-    return check_all(f"jtp_power_rec[r={r},z={z}]", N, pairs())
+    J = jtp_series(z, N)
+    return _power_check(f"jtp_power_rec[r={r},z={z}]", N, J, r, power_rational(J, r))
 
 
 def gauss_g(N):
@@ -567,61 +487,40 @@ def _verify_gauss_g(N):
     g = gauss_g(N)
     m = theta_product_matrix(Fraction(1), N)
     g_from_matrix = column_weight_sums(m, lambda k: Fraction(k), N)
-    P = phi_series(N)
 
     def pairs():
         for n in range(1, N + 1):
             yield ("g", n), g[n], g_from_matrix[n]
-        for n in range(1, N + 1):
-            lhs = sum(g[k] * P[n - k] for k in range(1, n + 1))
-            yield ("rec", n), lhs, n * P[n]
+        for n, lhs, rhs in _log_derivative_pairs(N, g, phi_series(N)):
+            yield ("rec", n), lhs, rhs
 
     return check_all("gauss_g", N, pairs())
 
 
 def _verify_newton_symmetric(N, x):
     xs = [Fraction(v) for v in x]
-    h = symmetric_series(xs, N)
-    p = [Fraction(0)] + [sum(v ** k for v in xs) for k in range(1, N + 1)]
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = sum(p[k] * h[n - k] for k in range(1, n + 1))
-            yield n, lhs, n * h[n]
-
-    return check_all("newton_symmetric", N, pairs())
+    p = [0] + [sum(v ** k for v in xs) for k in range(1, N + 1)]
+    return _log_derivative_check("newton_symmetric", N, p, symmetric_series(xs, N))
 
 
 def _verify_sin_truncated(N, m):
     m = int(m)
-    P = sin_normalized_series(m, N)
-    g = [Fraction(0)] + [
+    g = [0] + [
         -sum(Fraction(1, i ** (2 * n)) for i in range(1, m + 1))
         for n in range(1, N + 1)
     ]
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = sum(g[k] * P[n - k] for k in range(1, n + 1))
-            yield n, lhs, n * P[n]
-
-    return check_all(f"sin_truncated[m={m}]", N, pairs())
+    P = sin_normalized_series(m, N)
+    return _log_derivative_check(f"sin_truncated[m={m}]", N, g, P)
 
 
 def _verify_gamma_truncated(N, m):
     m = int(m)
-    P = gamma_truncated_series(m, N)
-    g = [Fraction(0), Fraction(0)] + [
+    g = [0, 0] + [
         (-1) ** (n - 1) * sum(Fraction(1, i ** n) for i in range(1, m + 1))
         for n in range(2, N + 1)
     ]
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = sum(g[k] * P[n - k] for k in range(1, n + 1))
-            yield n, lhs, n * P[n]
-
-    return check_all(f"gamma_truncated[m={m}]", N, pairs())
+    P = gamma_truncated_series(m, N)
+    return _log_derivative_check(f"gamma_truncated[m={m}]", N, g, P)
 
 
 _REGISTRY = {
@@ -655,7 +554,7 @@ IDENTITY_KEYS = tuple(sorted(_REGISTRY))
 
 
 def verify(key, N=None, **params):
-    """Run one registered identity check; unknown keys are a ValueError."""
+    """Run one registered identity check; unknown keys and N < 1 are a ValueError."""
     try:
         fn, defaults = _REGISTRY[key]
     except KeyError:
@@ -664,4 +563,6 @@ def verify(key, N=None, **params):
     kwargs.update(params)
     if N is not None:
         kwargs["N"] = N
+    if kwargs["N"] < 1:
+        raise ValueError(f"order must be a positive integer, got {kwargs['N']}")
     return fn(**kwargs)

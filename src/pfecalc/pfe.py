@@ -11,13 +11,21 @@ with P(0) = 1.  The default weights are U_k = k (k the row's step index) and
 V_n = n.  Rows come in two flavours: product rows, whose entries b*z^r sit at
 the multiples of a step k and encode a factor (1 - z q^k)^(-b); and explicit
 rows holding an arbitrary finite sparse set of entries.
+
+Swapping the two sums gives one recurrence on the U-weighted column sums
+g(n) = sum_k U_k a_k(n), namely V_n P(n) = sum_{k<=n} g(k) P(n-k).  Three
+helpers do all the arithmetic: _solve gets P from g and V; _invert is its
+inverse for V_n = n, g(n) = n P(n) - sum_{k<n} g(k) P(n-k); _frequencies gets
+one row's F from P, by the direct sum for explicit rows and otherwise by the
+row recurrence F(n) = z F(n-k) + b z P(n-k), one state per (b, z) part.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .arith import divisors, mobius_inversion
+from .arith import mobius_inversion
 from .report import IdentityReport, check_all
 
 FORM1 = "form1"
@@ -95,20 +103,16 @@ class EnumerationResult:
     F: tuple  # F[i] is the table for rows[i], indexed 0..N; None if not kept
     rows: tuple
 
+    @cached_property
     def _by_step(self):
-        index = getattr(self, "_step_index", None)
-        if index is None:
-            index = {}
-            for i, row in enumerate(self.rows):
-                index.setdefault(row.step, []).append(i)
-            self._step_index = index
+        index = {}
+        for i, row in enumerate(self.rows):
+            index.setdefault(row.step, []).append(i)
         return index
 
     def freq(self, k, n):
         """Total frequency at step k, summed over all rows with that step."""
-        return sum(
-            (self.F[i][n] for i in self._by_step().get(k, ())), Fraction(0)
-        )
+        return sum((self.F[i][n] for i in self._by_step.get(k, ())), Fraction(0))
 
 
 def _bval(b, k):
@@ -131,6 +135,11 @@ def build_product_matrix(factors, N):
     return PfeMatrix(rows=tuple(rows), layout=FORM2)
 
 
+def _parts(row):
+    """The (b, z) pairs of a product or combined row."""
+    return ((row.b, row.z),) if isinstance(row, ProductRow) else row.parts
+
+
 def collapse_form1(m):
     """Collapse a form-2 matrix to one row per step index.
 
@@ -139,26 +148,15 @@ def collapse_form1(m):
     Enumeration results are identical under either layout.
     """
     by_step = {}
-    order = []
     for row in m.rows:
-        if row.step not in by_step:
-            by_step[row.step] = []
-            order.append(row.step)
-        by_step[row.step].append(row)
+        by_step.setdefault(row.step, []).append(row)
     rows = []
-    for k in order:
-        group = by_step[k]
+    for k, group in by_step.items():
         if len(group) == 1:
             rows.append(group[0])
-            continue
-        if all(isinstance(r, (ProductRow, CombinedRow)) for r in group):
-            parts = []
-            for r in group:
-                if isinstance(r, ProductRow):
-                    parts.append((r.b, r.z))
-                else:
-                    parts.extend(r.parts)
-            rows.append(CombinedRow(step=k, parts=tuple(parts)))
+        elif all(isinstance(r, (ProductRow, CombinedRow)) for r in group):
+            parts = tuple(part for r in group for part in _parts(r))
+            rows.append(CombinedRow(step=k, parts=parts))
         elif all(isinstance(r, ExplicitRow) for r in group):
             merged = {}
             for r in group:
@@ -172,18 +170,66 @@ def collapse_form1(m):
     return PfeMatrix(rows=tuple(rows), layout=FORM1)
 
 
-def _row_apply(row, n, P):
-    """sum_j a(j) P(n-j) for one row, using only the nonzero columns."""
-    if isinstance(row, (ProductRow, CombinedRow)):
-        total = Fraction(0)
-        for j in range(row.step, n + 1, row.step):
-            total += row.entry(j) * P[n - j]
-        return total
-    total = Fraction(0)
-    for j, v in row.entries.items():
-        if j <= n:
-            total += v * P[n - j]
-    return total
+def _column_sums(rows, weights, N):
+    """g(0..N) with g(n) = sum over rows of weight * a_row(n)."""
+    g = [Fraction(0)] * (N + 1)
+    for row, w in zip(rows, weights):
+        if w == 0:
+            continue
+        if isinstance(row, ExplicitRow):
+            for j, v in row.entries.items():
+                if j <= N:
+                    g[j] += w * v
+            continue
+        for b, z in _parts(row):
+            term = w * b
+            for j in range(row.step, N + 1, row.step):
+                term *= z
+                g[j] += term
+    return g
+
+
+def _solve(g, N, V=None):
+    """P(0..N) from P(0) = 1 and V(n) P(n) = sum_{k<=n} g(k) P(n-k)."""
+    P = [Fraction(1)]
+    support = []
+    for n in range(1, N + 1):
+        if g[n]:
+            support.append(n)
+        Vn = Fraction(n if V is None else V(n))
+        if Vn == 0:
+            raise EnumerationError(f"V({n}) = 0: cannot solve for P({n})")
+        P.append(sum([g[k] * P[n - k] for k in support], Fraction(0)) / Vn)
+    return P
+
+
+def _invert(P):
+    """The inverse of _solve with V(n) = n: g(n) = n P(n) - sum_{k<n} g(k) P(n-k)."""
+    g = [Fraction(0)]
+    for n in range(1, len(P)):
+        g.append(n * P[n] - sum([g[k] * P[n - k] for k in range(1, n)], Fraction(0)))
+    return g
+
+
+def _frequencies(row, P, N):
+    """F(0..N) of one row: a direct sum, or the row recurrence per (b, z) part."""
+    F = [Fraction(0)] * (N + 1)
+    if isinstance(row, ExplicitRow):
+        for n in range(1, N + 1):
+            for j, v in row.entries.items():
+                if j <= n:
+                    F[n] += v * P[n - j]
+        return F
+    k = row.step
+    for b, z in _parts(row):
+        if b == 0:
+            continue
+        for start in range(k, min(2 * k, N + 1)):
+            state = Fraction(0)
+            for n in range(start, N + 1, k):
+                state = z * (state + b * P[n - k])
+                F[n] += state
+    return F
 
 
 def enumerate_pfe(m, N, U=None, V=None, with_freq=True):
@@ -194,33 +240,11 @@ def enumerate_pfe(m, N, U=None, V=None, with_freq=True):
     """
     if U is None:
         U = lambda row: row.step
-    if V is None:
-        V = lambda n: n
     rows = tuple(r for r in m.rows if not isinstance(r, ProductRow) or r.step <= N)
-    P = [Fraction(1)] + [Fraction(0)] * N
-    F = [[Fraction(0)] * (N + 1) for _ in rows] if with_freq else None
-    weights = [Fraction(U(row)) for row in rows]
-    for n in range(1, N + 1):
-        Vn = Fraction(V(n))
-        if Vn == 0:
-            raise EnumerationError(f"V({n}) = 0: cannot solve for P({n})")
-        total = Fraction(0)
-        for i, row in enumerate(rows):
-            fk = _row_apply(row, n, P)
-            if with_freq:
-                F[i][n] = fk
-            if weights[i]:
-                total += weights[i] * fk
-        P[n] = total / Vn
-    return EnumerationResult(
-        P=tuple(P),
-        F=tuple(tuple(f) for f in F) if with_freq else None,
-        rows=rows,
-    )
-
-
-def _fval(f, k):
-    return Fraction(f(k)) if callable(f) else Fraction(f[k])
+    g = _column_sums(rows, [Fraction(U(row)) for row in rows], N)
+    P = _solve(g, N, V)
+    F = tuple(tuple(_frequencies(row, P, N)) for row in rows) if with_freq else None
+    return EnumerationResult(P=tuple(P), F=F, rows=rows)
 
 
 def column_weight_sums(m, f, N):
@@ -229,30 +253,25 @@ def column_weight_sums(m, f, N):
     For a single product row per step this is g(n) = sum_{d|n} b_d f(d) z^{n/d}.
     Returned as a list indexed by n with g[0] = 0.
     """
-    g = [Fraction(0)] * (N + 1)
-    for row in m.rows:
-        fk = _fval(f, row.step)
-        if fk == 0:
-            continue
-        if isinstance(row, (ProductRow, CombinedRow)):
-            for j in range(row.step, N + 1, row.step):
-                g[j] += fk * row.entry(j)
-        else:
-            for j, v in row.entries.items():
-                if j <= N:
-                    g[j] += fk * v
-    return g
+    return _column_sums(m.rows, [_bval(f, row.step) for row in m.rows], N)
+
+
+def _product_frequencies(b, z, P):
+    """Frequency tables F[0..N] of the single-factor product matrix."""
+    zero = [Fraction(0)] * len(P)
+    return [_frequencies(ProductRow(k, b[k], z), P, len(P) - 1) if k and b[k]
+            else list(zero) for k in range(len(P))]
 
 
 def series_to_pfe(P, z=1, with_freq=True):
     """Invert a coefficient sequence into its product exponents b.
 
     P is a list with P[0] = 1; z is the (known, nonzero) product parameter,
-    1 for the plain series-to-product conversion.  Proceeds inductively: with
-    b_1..b_{n-1} known, the weighted rows give F_1(n)..F_{n-1}(n), the
-    column-sum equation fixes F_n(n), and F_n(n) = b_n z closes the step.
-    Returns (b, F) where F[k][n] is the frequency table of the recovered
-    matrix (None when with_freq=False).
+    1 for the plain series-to-product conversion.  The column sums g come
+    from the inverse recurrence; then g(n) = sum_{d|n} d b_d z^{n/d} fixes
+    b_n once the smaller divisors' terms are taken off, which a sieve over
+    multiples does.  Returns (b, F) where F[k][n] is the frequency table of
+    the recovered matrix (None when with_freq=False).
     """
     if Fraction(P[0]) != 1:
         raise ValueError("series_to_pfe requires P(0) = 1")
@@ -261,22 +280,16 @@ def series_to_pfe(P, z=1, with_freq=True):
         raise ValueError("z must be nonzero")
     N = len(P) - 1
     P = [Fraction(x) for x in P]
+    g = _invert(P)
     b = [Fraction(0)] * (N + 1)
-    F = [[Fraction(0)] * (N + 1) for _ in range(N + 1)] if with_freq else None
     for n in range(1, N + 1):
-        # S_k = sum_{r>=1} z^r P(n - rk); F_k(n) = b_k * S_k for k < n
-        weighted_sum = Fraction(0)
-        for k in range(1, n):
-            if b[k] == 0:
-                continue
-            S = sum(z ** r * P[n - r * k] for r in range(1, n // k + 1))
-            if with_freq:
-                F[k][n] = b[k] * S
-            weighted_sum += k * b[k] * S
-        b[n] = (n * P[n] - weighted_sum) / (n * z)
-        if with_freq:
-            F[n][n] = b[n] * z
-    return b, F
+        b[n] = g[n] / (n * z)
+        if b[n]:
+            term = g[n]
+            for m in range(2 * n, N + 1, n):
+                term *= z
+                g[m] -= term
+    return b, (_product_frequencies(b, z, P) if with_freq else None)
 
 
 def g_to_pfe(g, with_freq=True):
@@ -290,33 +303,20 @@ def g_to_pfe(g, with_freq=True):
     N = len(g) - 1
     g = [Fraction(x) for x in g]
     b = mobius_inversion(g)
-    P = [Fraction(1)] + [Fraction(0)] * N
-    for n in range(1, N + 1):
-        P[n] = sum(g[k] * P[n - k] for k in range(1, n + 1)) / n
-    F = None
-    if with_freq:
-        F = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
-        for k in range(1, N + 1):
-            if b[k] == 0:
-                continue
-            for n in range(k, N + 1):
-                F[k][n] = b[k] * sum(P[n - r * k] for r in range(1, n // k + 1))
-    return b, P, F
+    P = _solve(g, N)
+    return b, P, (_product_frequencies(b, Fraction(1), P) if with_freq else None)
 
 
 def verify_divisor_sum(m, f, result, N):
     """Check sum_k g(k) P(n-k) = sum_k f(k) F_k(n) for n <= N, exactly."""
     g = column_weight_sums(m, f, N)
     P = result.P
+    weights = [_bval(f, row.step) for row in result.rows]
 
     def pairs():
         for n in range(1, N + 1):
             lhs = sum(g[k] * P[n - k] for k in range(1, n + 1))
-            rhs = Fraction(0)
-            for i, row in enumerate(result.rows):
-                fk = _fval(f, row.step)
-                if fk:
-                    rhs += fk * result.F[i][n]
+            rhs = sum((w * Fi[n] for w, Fi in zip(weights, result.F) if w), Fraction(0))
             yield n, lhs, rhs
 
     return check_all("divisor_sum", N, pairs())

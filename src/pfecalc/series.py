@@ -84,20 +84,22 @@ class TruncatedSeries:
         """Rational power of a unit-constant series by the classical recurrence.
 
         Requires c(0) = 1.  Uses n*B(n) = sum_{j=1..n} ((r+1)j - n) a(j) B(n-j)
-        with B(0) = 1, which agrees with repeated multiplication for integer
-        r >= 0 and with the reciprocal for r = -1.
+        with B(0) = 1, summed over the nonzero a(j) only, which agrees with
+        repeated multiplication for integer r >= 0 and with the reciprocal
+        for r = -1.
         """
         if self.coeffs[0] != 1:
             raise ValueError("power requires constant term 1")
         r = Fraction(r)
         a = self.coeffs
-        N = self.order
+        support = [j for j in range(1, len(a)) if a[j]]
         out = [Fraction(1)]
-        for n in range(1, N + 1):
+        for n in range(1, len(a)):
             total = Fraction(0)
-            for j in range(1, n + 1):
-                if a[j]:
-                    total += ((r + 1) * j - n) * a[j] * out[n - j]
+            for j in support:
+                if j > n:
+                    break
+                total += ((r + 1) * j - n) * a[j] * out[n - j]
             out.append(total / n)
         return TruncatedSeries(out)
 
@@ -112,18 +114,6 @@ def monomial(c, k, order):
     if k <= order:
         coeffs[k] = Fraction(c)
     return TruncatedSeries(coeffs)
-
-
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def weighted(a):
-    return a.weighted()
 
 
 def power_rational(a, r):

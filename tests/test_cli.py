@@ -31,11 +31,30 @@ def test_expand_bfile(capsys):
 
 
 def test_expand_bfile_rejects_fractions(capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "expand", "colored", "--r", "1/2", "-n", "4", "--format", "bfile"
     )
     assert code == 2
     assert "bfile" in err
+    assert out == ""
+
+
+def test_from_g_bfile_rejects_fractions_without_partial_output(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("1\n0\n0\n")  # g = (1, 0, 0): P = 1, 1, 1/2, 1/6
+    code, out, err = run(
+        capsys, "from-g", "--input", str(f), "--order", "3", "--format", "bfile"
+    )
+    assert code == 2
+    assert "coefficient 2 is 1/2" in err
+    assert out == ""
+
+
+def test_expand_missing_series_parameter(capsys):
+    code, out, err = run(capsys, "expand", "jtp", "-n", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: series 'jtp' needs the parameter z\n"
 
 
 def test_expand_csv(capsys):
@@ -210,3 +229,47 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "to-product", "--input", "/no/such/file", "--order", "1")
     assert code == 2
     assert "cannot open" in err
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_verify_rejects_orders_below_one(capsys, order):
+    code, out, err = run(capsys, "verify", "euler_sigma", "-n", order)
+    assert code == 2
+    assert out == ""
+    assert "order must be a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--p", "4"], "p must be prime"), (["--p", "2", "--r", "0"], "r must be")],
+)
+def test_roots_check_rejects_bad_prime_power(tmp_path, capsys, flags, message):
+    f = tmp_path / "p.txt"
+    f.write_text("1\n4\n4\n")
+    code, out, err = run(
+        capsys, "roots-check", "--input", str(f), "--order", "2", *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_roots_check_failed_hypothesis_leaves_no_output(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text("1\n4\n4\n")
+    code, out, err = run(
+        capsys, "roots-check", "--input", str(f), "--order", "2",
+        "--m", "2", "--t", "3", "--s", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "hypothesis fails" in err
+
+
+def test_input_repeated_index(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text("1\n1\n0 1\n")  # the third line repeats index 0
+    code, out, err = run(capsys, "to-product", "--input", str(f), "--order", "1")
+    assert code == 2
+    assert out == ""
+    assert f"{f}:3: repeated index 0" in err

@@ -69,3 +69,11 @@ def test_scan_table():
     assert not all(table[(Fraction(1), k)] for k in (0, 1, 2, 3))
     with pytest.raises(ValueError):
         scan(7, [1], 5)
+
+
+def test_negative_max_m_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        check_family(family(5, 4), 1, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        scan(5, [1], -1)
+    assert check_family(family(5, 4), 1, 0).passed

@@ -121,6 +121,18 @@ def test_verify_unknown_key():
         identities.verify("bogus")
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_verify_rejects_orders_below_one(N):
+    for key in identities.IDENTITY_KEYS:
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            identities.verify(key, N=N)
+
+
+def test_named_series_missing_parameter():
+    with pytest.raises(ValueError, match="'jtp' needs the parameter z"):
+        identities.named_series("jtp", 4)
+
+
 def test_pr_ps_custom_series():
     rng = random.Random(9)
     Q = TruncatedSeries(

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pfecalc import pfe
+from pfecalc import oracle, pfe
 from pfecalc.pfe import (
     CombinedRow,
     EnumerationError,
@@ -219,3 +219,73 @@ def test_frequency_row_check():
         assert report.passed, report.describe()
     # no row at that step: vacuously true
     assert frequency_row_check(m, N + 5, result, N).passed
+
+
+def _literal_enumeration(rows, N, U, V):
+    """The module docstring's two equations, evaluated as written."""
+    P = [Fraction(1)] + [Fraction(0)] * N
+    F = [[Fraction(0)] * (N + 1) for _ in rows]
+    for n in range(1, N + 1):
+        for i, row in enumerate(rows):
+            F[i][n] = sum(row.entry(j) * P[n - j] for j in range(1, n + 1))
+        P[n] = sum(U(row) * F[i][n] for i, row in enumerate(rows)) / Fraction(V(n))
+    return P, F
+
+
+def _random_rational(rng, nonzero=False):
+    num = rng.choice([-3, -2, -1, 1, 2, 3]) if nonzero else rng.randint(-3, 3)
+    return Fraction(num, rng.randint(1, 3))
+
+
+def _random_mixed_matrix(rng, N):
+    rows = []
+    for k in range(1, N + 3):  # a few steps past N, which enumeration drops
+        for _ in range(rng.randint(0, 2)):
+            kind = rng.choice(("product", "combined", "explicit"))
+            if kind == "product":
+                b, z = _random_rational(rng), _random_rational(rng, True)
+                rows.append(ProductRow(k, b, z))
+            elif kind == "combined":
+                parts = tuple(
+                    (_random_rational(rng), _random_rational(rng, True))
+                    for _ in range(rng.randint(2, 3))
+                )
+                rows.append(CombinedRow(step=k, parts=parts))
+            else:
+                cols = rng.sample(range(1, N + 4), rng.randint(1, 4))
+                rows.append(ExplicitRow(k, {j: _random_rational(rng) for j in cols}))
+    return PfeMatrix(rows=tuple(rows))
+
+
+def test_mixed_rows_with_custom_weights_match_the_literal_equations():
+    rng = random.Random(36)
+    N = 14
+    weightings = [
+        (None, None),
+        (lambda row: row.step % 3 - 1, lambda n: 2 * n - 1),
+        (lambda row: Fraction(1, row.step), lambda n: Fraction(n * n, 3)),
+    ]
+    for _ in range(6):
+        m = _random_mixed_matrix(rng, N)
+        for U, V in weightings:
+            result = enumerate_pfe(m, N, U=U, V=V)
+            P, F = _literal_enumeration(
+                m.rows, N, U or (lambda row: row.step), V or (lambda n: n)
+            )
+            assert list(result.P) == P
+            literal = {id(row): f for row, f in zip(m.rows, F)}
+            assert [list(f) for f in result.F] == [literal[id(r)] for r in result.rows]
+            assert all(isinstance(x, Fraction) for f in result.F for x in f)
+            assert enumerate_pfe(m, N, U=U, V=V, with_freq=False).P == result.P
+
+
+def test_product_specs_match_the_oracle():
+    rng = random.Random(37)
+    N = 10
+    for z in (Fraction(1), Fraction(-1), Fraction(2, 3)):
+        b = random_exponents(rng, N)
+        result = enumerate_pfe(build_product_matrix([(z, b)], N), N)
+        for n in range(N + 1):
+            assert result.P[n] == oracle.p_direct(n, b, z)
+            for k in range(1, N + 1):
+                assert result.freq(k, n) == oracle.f_direct(k, n, b, z)

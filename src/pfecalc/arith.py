@@ -7,6 +7,23 @@ from functools import lru_cache
 INFINITY = math.inf
 
 
+def demote(x):
+    """x as an int when it is integral, else as a Fraction; types are tested first."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def divide(a, b):
+    """a / b, demoted: floor division for ints with no remainder, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return demote(a / b)
+
+
 def _require_positive(n, what="n"):
     if n < 1:
         raise ValueError(f"{what} must be a positive integer, got {n}")

@@ -63,6 +63,8 @@ def read_sequence_file(path, start=0):
 
 
 def _dense(values, start, N, what):
+    if N < 0:
+        raise UsageError(f"order must be non-negative, got {N}")
     out = []
     for n in range(start, N + 1):
         if n not in values:

@@ -4,6 +4,7 @@ Every check is coefficientwise over a finite window and bit-exact; a report
 carries the first failing index when something does not hold.
 """
 
+import inspect
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -554,11 +555,14 @@ IDENTITY_KEYS = tuple(sorted(_REGISTRY))
 
 
 def verify(key, N=None, **params):
-    """Run one registered identity check; unknown keys and N < 1 are a ValueError."""
+    """Run one registered identity check; a bad key, parameter or N is a ValueError."""
     try:
         fn, defaults = _REGISTRY[key]
     except KeyError:
         raise ValueError(f"unknown identity key: {key!r}") from None
+    unknown = sorted(set(params) - set(inspect.signature(fn).parameters))
+    if unknown:
+        raise ValueError(f"identity {key!r} takes no parameter {', '.join(unknown)}")
     kwargs = dict(defaults)
     kwargs.update(params)
     if N is not None:

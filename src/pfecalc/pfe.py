@@ -18,6 +18,9 @@ helpers do all the arithmetic: _solve gets P from g and V; _invert is its
 inverse for V_n = n, g(n) = n P(n) - sum_{k<n} g(k) P(n-k); _frequencies gets
 one row's F from P, by the direct sum for explicit rows and otherwise by the
 row recurrence F(n) = z F(n-k) + b z P(n-k), one state per (b, z) part.
+Inside them a value is an int while it is integral and a Fraction from the
+first inexact division on (arith.demote and arith.divide), so integer specs
+run on int arithmetic; every public result holds Fractions.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .arith import mobius_inversion
+from .arith import demote, divide
 from .report import IdentityReport, check_all
 
 FORM1 = "form1"
@@ -171,65 +174,82 @@ def collapse_form1(m):
 
 
 def _column_sums(rows, weights, N):
-    """g(0..N) with g(n) = sum over rows of weight * a_row(n)."""
-    g = [Fraction(0)] * (N + 1)
+    """g(0..N), demoted, with g(n) = sum over rows of weight * a_row(n)."""
+    g = [0] * (N + 1)
     for row, w in zip(rows, weights):
         if w == 0:
             continue
+        w = demote(w)
         if isinstance(row, ExplicitRow):
             for j, v in row.entries.items():
                 if j <= N:
-                    g[j] += w * v
+                    g[j] += w * demote(v)
             continue
         for b, z in _parts(row):
-            term = w * b
+            term, z = w * demote(b), demote(z)
             for j in range(row.step, N + 1, row.step):
                 term *= z
                 g[j] += term
-    return g
+    return [demote(x) for x in g]
 
 
 def _solve(g, N, V=None):
-    """P(0..N) from P(0) = 1 and V(n) P(n) = sum_{k<=n} g(k) P(n-k)."""
-    P = [Fraction(1)]
+    """P(0..N) from P(0) = 1 and V(n) P(n) = sum_{k<=n} g(k) P(n-k); g demoted."""
+    P = [1]
     support = []
     for n in range(1, N + 1):
         if g[n]:
             support.append(n)
-        Vn = Fraction(n if V is None else V(n))
+        Vn = n if V is None else demote(V(n))
         if Vn == 0:
             raise EnumerationError(f"V({n}) = 0: cannot solve for P({n})")
-        P.append(sum([g[k] * P[n - k] for k in support], Fraction(0)) / Vn)
+        P.append(divide(sum([g[k] * P[n - k] for k in support]), Vn))
     return P
 
 
 def _invert(P):
     """The inverse of _solve with V(n) = n: g(n) = n P(n) - sum_{k<n} g(k) P(n-k)."""
-    g = [Fraction(0)]
+    g = [0]
     for n in range(1, len(P)):
-        g.append(n * P[n] - sum([g[k] * P[n - k] for k in range(1, n)], Fraction(0)))
+        g.append(demote(n * P[n] - sum([g[k] * P[n - k] for k in range(1, n)])))
     return g
 
 
+def _exponents(g, z):
+    """b(0..N) from g(n) = sum_{d|n} d b_d z^{n/d}, sieving each b_d's terms off."""
+    g, N = list(g), len(g) - 1
+    b = [0] * (N + 1)
+    for n in range(1, N + 1):
+        b[n] = divide(g[n], n * z)
+        if b[n]:
+            term = g[n]
+            for m in range(2 * n, N + 1, n):
+                term *= z
+                g[m] -= term
+    return b
+
+
 def _frequencies(row, P, N):
-    """F(0..N) of one row: a direct sum, or the row recurrence per (b, z) part."""
-    F = [Fraction(0)] * (N + 1)
+    """F(0..N) of one row, as Fractions: a direct sum, or the row recurrence."""
+    F = [0] * (N + 1)
     if isinstance(row, ExplicitRow):
+        entries = [(j, demote(v)) for j, v in row.entries.items()]
         for n in range(1, N + 1):
-            for j, v in row.entries.items():
+            for j, v in entries:
                 if j <= n:
                     F[n] += v * P[n - j]
-        return F
+        return [Fraction(x) for x in F]
     k = row.step
     for b, z in _parts(row):
         if b == 0:
             continue
+        b, z = demote(b), demote(z)
         for start in range(k, min(2 * k, N + 1)):
-            state = Fraction(0)
+            state = 0
             for n in range(start, N + 1, k):
                 state = z * (state + b * P[n - k])
                 F[n] += state
-    return F
+    return [Fraction(x) for x in F]
 
 
 def enumerate_pfe(m, N, U=None, V=None, with_freq=True):
@@ -241,10 +261,10 @@ def enumerate_pfe(m, N, U=None, V=None, with_freq=True):
     if U is None:
         U = lambda row: row.step
     rows = tuple(r for r in m.rows if not isinstance(r, ProductRow) or r.step <= N)
-    g = _column_sums(rows, [Fraction(U(row)) for row in rows], N)
+    g = _column_sums(rows, [U(row) for row in rows], N)
     P = _solve(g, N, V)
     F = tuple(tuple(_frequencies(row, P, N)) for row in rows) if with_freq else None
-    return EnumerationResult(P=tuple(P), F=F, rows=rows)
+    return EnumerationResult(P=tuple(Fraction(x) for x in P), F=F, rows=rows)
 
 
 def column_weight_sums(m, f, N):
@@ -253,14 +273,15 @@ def column_weight_sums(m, f, N):
     For a single product row per step this is g(n) = sum_{d|n} b_d f(d) z^{n/d}.
     Returned as a list indexed by n with g[0] = 0.
     """
-    return _column_sums(m.rows, [_bval(f, row.step) for row in m.rows], N)
+    weights = [_bval(f, row.step) for row in m.rows]
+    return [Fraction(x) for x in _column_sums(m.rows, weights, N)]
 
 
 def _product_frequencies(b, z, P):
     """Frequency tables F[0..N] of the single-factor product matrix."""
-    zero = [Fraction(0)] * len(P)
-    return [_frequencies(ProductRow(k, b[k], z), P, len(P) - 1) if k and b[k]
-            else list(zero) for k in range(len(P))]
+    N = len(P) - 1
+    return [[Fraction(0)] * (N + 1)] + [
+        _frequencies(ProductRow(k, b[k], z), P, N) for k in range(1, N + 1)]
 
 
 def series_to_pfe(P, z=1, with_freq=True):
@@ -273,50 +294,43 @@ def series_to_pfe(P, z=1, with_freq=True):
     multiples does.  Returns (b, F) where F[k][n] is the frequency table of
     the recovered matrix (None when with_freq=False).
     """
-    if Fraction(P[0]) != 1:
+    P = [demote(x) for x in P]
+    if P[0] != 1:
         raise ValueError("series_to_pfe requires P(0) = 1")
-    z = Fraction(z)
+    z = demote(z)
     if z == 0:
         raise ValueError("z must be nonzero")
-    N = len(P) - 1
-    P = [Fraction(x) for x in P]
-    g = _invert(P)
-    b = [Fraction(0)] * (N + 1)
-    for n in range(1, N + 1):
-        b[n] = g[n] / (n * z)
-        if b[n]:
-            term = g[n]
-            for m in range(2 * n, N + 1, n):
-                term *= z
-                g[m] -= term
-    return b, (_product_frequencies(b, z, P) if with_freq else None)
+    b = _exponents(_invert(P), z)
+    F = _product_frequencies(b, z, P) if with_freq else None
+    return [Fraction(x) for x in b], F
 
 
 def g_to_pfe(g, with_freq=True):
     """Matrix, sequence, and frequency table realizing given column sums g.
 
-    g is a list indexed 1..N.  The exponents come from Mobius inversion of
-    g(n) = sum_{d|n} d b_d; P satisfies n P(n) = sum_k g(k) P(n-k); F is the
-    frequency table of the resulting z = 1 product matrix.
+    g is a list indexed 1..N.  The exponents solve g(n) = sum_{d|n} d b_d by
+    the sieve series_to_pfe uses; P satisfies n P(n) = sum_k g(k) P(n-k); F
+    is the frequency table of the resulting z = 1 product matrix.
     Returns (b, P, F).
     """
-    N = len(g) - 1
-    g = [Fraction(x) for x in g]
-    b = mobius_inversion(g)
-    P = _solve(g, N)
-    return b, P, (_product_frequencies(b, Fraction(1), P) if with_freq else None)
+    g = [demote(x) for x in g]
+    b = _exponents(g, 1)
+    P = _solve(g, len(g) - 1)
+    F = _product_frequencies(b, 1, P) if with_freq else None
+    return [Fraction(x) for x in b], [Fraction(x) for x in P], F
 
 
 def verify_divisor_sum(m, f, result, N):
     """Check sum_k g(k) P(n-k) = sum_k f(k) F_k(n) for n <= N, exactly."""
-    g = column_weight_sums(m, f, N)
-    P = result.P
+    g = [demote(x) for x in column_weight_sums(m, f, N)]
+    P = [demote(x) for x in result.P]
     weights = [_bval(f, row.step) for row in result.rows]
+    F = [(demote(w), [demote(x) for x in Fi]) for w, Fi in zip(weights, result.F) if w]
 
     def pairs():
         for n in range(1, N + 1):
-            lhs = sum(g[k] * P[n - k] for k in range(1, n + 1))
-            rhs = sum((w * Fi[n] for w, Fi in zip(weights, result.F) if w), Fraction(0))
+            lhs = sum([g[k] * P[n - k] for k in range(1, n + 1)])
+            rhs = sum([w * Fi[n] for w, Fi in F])
             yield n, lhs, rhs
 
     return check_all("divisor_sum", N, pairs())
@@ -327,20 +341,19 @@ def frequency_row_check(m, k, result, N):
 
     Requires a matrix of product rows with a single row at step k.
     """
-    rows_k = [r for r in result.rows if r.step == k]
-    if not rows_k:
+    at_k = result._by_step.get(k, ())
+    if not at_k:
         return IdentityReport(f"frequency_row[{k}]", N, True)
-    if len(rows_k) > 1 or not isinstance(rows_k[0], ProductRow):
+    row = result.rows[at_k[0]]
+    if len(at_k) > 1 or not isinstance(row, ProductRow):
         raise ValueError("frequency_row_check needs a single product row per step")
-    row = rows_k[0]
-    i = result.rows.index(row)
-    Fk = result.F[i]
-    P = result.P
+    Fk = [demote(x) for x in result.F[at_k[0]]]
+    P = [demote(x) for x in result.P]
+    b, z = demote(row.b), demote(row.z)
 
     def pairs():
         for n in range(1, N + 1):
-            prev = Fk[n - k] if n >= k else Fraction(0)
-            pn = P[n - k] if n >= k else Fraction(0)
-            yield n, Fk[n], row.z * prev + row.b * row.z * pn
+            prev, pn = (Fk[n - k], P[n - k]) if n >= k else (0, 0)
+            yield n, Fk[n], z * prev + b * z * pn
 
     return check_all(f"frequency_row[{k}]", N, pairs())

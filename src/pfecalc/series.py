@@ -6,6 +6,8 @@ truncates to the smaller order of its operands and never extends precision.
 
 from fractions import Fraction
 
+from .arith import demote, divide
+
 
 class TruncatedSeries:
     __slots__ = ("coeffs",)
@@ -83,24 +85,25 @@ class TruncatedSeries:
     def power(self, r):
         """Rational power of a unit-constant series by the classical recurrence.
 
-        Requires c(0) = 1.  Uses n*B(n) = sum_{j=1..n} ((r+1)j - n) a(j) B(n-j)
-        with B(0) = 1, summed over the nonzero a(j) only, which agrees with
-        repeated multiplication for integer r >= 0 and with the reciprocal
-        for r = -1.
+        Requires c(0) = 1.  With r = p/s it uses s n B(n) = sum_{j=1..n}
+        ((p+s)j - s n) a(j) B(n-j), B(0) = 1, over the nonzero a(j) only, which
+        agrees with repeated multiplication for integer r >= 0 and with the
+        reciprocal for r = -1.
         """
         if self.coeffs[0] != 1:
             raise ValueError("power requires constant term 1")
         r = Fraction(r)
-        a = self.coeffs
+        p, s = r.numerator, r.denominator
+        a = [demote(c) for c in self.coeffs]
         support = [j for j in range(1, len(a)) if a[j]]
-        out = [Fraction(1)]
+        out = [1]
         for n in range(1, len(a)):
-            total = Fraction(0)
+            total = 0
             for j in support:
                 if j > n:
                     break
-                total += ((r + 1) * j - n) * a[j] * out[n - j]
-            out.append(total / n)
+                total += ((p + s) * j - s * n) * a[j] * out[n - j]
+            out.append(divide(total, s * n))
         return TruncatedSeries(out)
 
 

@@ -273,3 +273,21 @@ def test_input_repeated_index(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"{f}:3: repeated index 0" in err
+
+
+@pytest.mark.parametrize("flags", [["--r", "2"], ["--series", "1,2,3"]])
+def test_verify_rejects_a_parameter_its_check_does_not_take(capsys, flags):
+    code, out, err = run(capsys, "verify", "euler_sigma", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: identity 'euler_sigma' takes no parameter ")
+
+
+@pytest.mark.parametrize("command", ["to-product", "from-g", "roots-check"])
+def test_negative_order_is_a_usage_error(tmp_path, capsys, command):
+    f = tmp_path / "in.txt"
+    f.write_text("1\n1\n")
+    code, out, err = run(capsys, command, "--input", str(f), "--order", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be non-negative, got -1\n"

@@ -121,6 +121,12 @@ def test_verify_unknown_key():
         identities.verify("bogus")
 
 
+def test_verify_rejects_parameters_its_check_does_not_take():
+    with pytest.raises(ValueError, match="'euler_sigma' takes no parameter r, z$"):
+        identities.verify("euler_sigma", z=Fraction(2), r=Fraction(1))
+    assert identities.verify("pr_ps", N=5, Q=identities.phi_series(5)).passed
+
+
 @pytest.mark.parametrize("N", [0, -3])
 def test_verify_rejects_orders_below_one(N):
     for key in identities.IDENTITY_KEYS:

@@ -2,8 +2,10 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfecalc import oracle, pfe
+from pfecalc.arith import mobius
 from pfecalc.pfe import (
     CombinedRow,
     EnumerationError,
@@ -189,13 +191,67 @@ def test_g_to_pfe_roundtrip_with_column_sums():
 
 
 def test_g_to_pfe_exponential():
+    # g is integral, but P(n) = 1/n! and b_n = mu(n)/n are not
     N = 12
-    g = [Fraction(0), Fraction(1)] + [Fraction(0)] * (N - 1)
+    g = [0, 1] + [0] * (N - 1)
     b, P, _ = g_to_pfe(g)
     fact = 1
     for n in range(1, N + 1):
         fact *= n
         assert P[n] == Fraction(1, fact)
+        assert b[n] == Fraction(mobius(n), n)
+    assert _all_fractions(b, P)
+
+
+def _all_fractions(*sequences):
+    return all(type(x) is Fraction for seq in sequences for x in seq)
+
+
+@pytest.mark.parametrize("z", [Fraction(1), Fraction(-1), Fraction(1, 2)])
+@pytest.mark.parametrize("den", [1, 3])
+def test_outputs_are_fractions_for_integer_and_rational_specs(z, den):
+    N = 12
+    b = [0] + [Fraction(k % 3 - 1, den) for k in range(1, N + 1)]
+    m = build_product_matrix([(z, b), (1, lambda k: 1)], N)
+    result = enumerate_pfe(m, N)
+    assert _all_fractions(result.P, *result.F)
+    assert _all_fractions(column_weight_sums(m, list(range(N + 1)), N))
+    one_factor = enumerate_pfe(build_product_matrix([(z, b)], N), N)
+    got_b, got_F = series_to_pfe(list(one_factor.P), z)
+    assert got_b[1:] == b[1:]
+    assert _all_fractions(got_b, *got_F)
+    got_b, got_P, got_F = g_to_pfe(column_weight_sums(m, lambda k: k, N))
+    assert got_P == list(result.P)
+    assert _all_fractions(got_b, got_P, *got_F)
+
+
+_Z = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)])
+_ORACLE_N = 7
+_EXPONENTS = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=_ORACLE_N, max_size=_ORACLE_N),
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=_ORACLE_N, max_size=_ORACLE_N),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_Z, _EXPONENTS), min_size=1, max_size=2))
+def test_integer_and_rational_specs_match_the_oracle(spec):
+    N = _ORACLE_N
+    factors = [(z, [0] + b) for z, b in spec]
+    result = enumerate_pfe(build_product_matrix(factors, N), N)
+    assert list(result.P) == list(oracle.brute_expand(factors, N).coeffs)
+    assert _all_fractions(result.P, *result.F)
+    if len(factors) > 1:
+        return
+    [(z, b)] = factors
+    for k in range(1, N + 1):
+        assert [result.freq(k, n) for n in range(N + 1)] == [
+            oracle.f_direct(k, n, b, z) for n in range(N + 1)
+        ]
+    got_b, got_F = series_to_pfe(list(result.P), z)
+    assert got_b == [Fraction(x) for x in b]
+    for k in range(1, N + 1):
+        assert got_F[k] == [result.freq(k, n) for n in range(N + 1)]
 
 
 def test_verify_divisor_sum():

@@ -67,14 +67,33 @@ def test_mul_commutative_associative():
         assert (a * b) * c == a * (b * c)
 
 
+def random_integer_unit_series(rng, N):
+    return TruncatedSeries([1] + [rng.randint(-6, 6) for _ in range(N)])
+
+
+def _all_fractions(a):
+    return all(type(c) is Fraction for c in a.coeffs)
+
+
 def test_power_integer_matches_repeated_multiplication():
     rng = random.Random(6)
-    for _ in range(5):
-        a = random_unit_series(rng, 20)
+    for base in [random_unit_series, random_integer_unit_series] * 5:
+        a = base(rng, 20)
         prod = one(20)
         for k in range(1, 5):
             prod = prod * a
             assert a.power(k) == prod
+            assert _all_fractions(a.power(k))
+            assert a.power(-k) * prod == one(20)
+
+
+def test_square_root_squared_is_the_base():
+    rng = random.Random(9)
+    for base in [random_unit_series, random_integer_unit_series] * 5:
+        a = base(rng, 20)
+        root = a.power(Fraction(1, 2))
+        assert _all_fractions(root)
+        assert root * root == a
 
 
 def test_power_reciprocal():

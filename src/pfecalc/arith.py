@@ -76,9 +76,11 @@ def is_prime(n):
 
 
 def sigma(m, n):
-    """Sum of m-th powers of the divisors of n."""
+    """Sum of m-th powers of the divisors of n: an int for m >= 0, else a Fraction."""
     _require_positive(n)
-    return sum(d ** m for d in divisors(n))
+    total = sum(d ** abs(m) for d in divisors(n))
+    # the divisors d and n/d pair up, so sigma_{-m}(n) = sigma_m(n) / n^m
+    return total if m >= 0 else Fraction(total, n ** -m)
 
 
 def sigma_odd_even(n):

@@ -184,11 +184,15 @@ def cmd_from_g(args):
 
 def cmd_verify(args):
     params = _series_params(args)
+    flag = "--series" if args.series is not None else (
+        "--random-series" if args.random_series else None)
     try:
+        if flag and "Q" not in identities._lookup(args.key)[2]:
+            raise ValueError(f"identity {args.key!r} takes no parameter {flag}")
         if args.series is not None:
             coeffs = _parse_rational_list(args.series)
             params["Q"] = TruncatedSeries(coeffs, args.order or len(coeffs) - 1)
-        elif args.key == "pr_ps" and args.random_series:
+        elif args.random_series:
             rng = random.Random(args.seed)
             N = args.order or 40
             coeffs = [Fraction(1)] + [

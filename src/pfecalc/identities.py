@@ -1,7 +1,12 @@
 """Named series generators and the registry of exact identity checks.
 
-Every check is coefficientwise over a finite window and bit-exact; a report
-carries the first failing index when something does not hold.
+Every check is an equality of two series, compared bit-exactly in the
+coefficients 1..N; a report carries the first failing index when one does
+not hold.  The series are built with TruncatedSeries's `*`, the one Cauchy
+product, which walks the sparser factor's nonzero terms and runs on int
+while a value is integral.  Most checks are the log-derivative
+g * P = sum n P(n) q^n or the two-power recurrence
+n (Q B)(n) = (k+1) (jQ(j) * B)(n) that B = Q^k satisfies.
 """
 
 import inspect
@@ -10,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
-    generalized_pentagonals,
     mobius,
     pentagonal_sign,
     sigma,
@@ -18,7 +22,7 @@ from .arith import (
     bernoulli,
 )
 from .series import TruncatedSeries, power_rational
-from .pfe import build_product_matrix, column_weight_sums, enumerate_pfe
+from .pfe import _invert, build_product_matrix, column_weight_sums, enumerate_pfe
 from .report import check_all
 from . import oracle
 
@@ -235,16 +239,15 @@ def tau(N):
 
 
 def zeta_hat(N):
-    """zeta(2n)/pi^(2n) as exact rationals, for n = 1..N (index 0 unused)."""
+    """zeta(2n)/pi^(2n) as exact rationals, for n = 1..N (index 0 unused).
+
+    These are minus the column sums g of the sine product, whose coefficients
+    c(n) = (-1)^n / (2n+1)! satisfy n c(n) = sum_{k<=n} g(k) c(n-k).
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    A = [Fraction(0)] * (N + 1)
-    for n in range(1, N + 1):
-        total = Fraction((-1) ** (n + 1) * n, math.factorial(2 * n + 1))
-        for k in range(1, n):
-            total += Fraction((-1) ** (k + 1), math.factorial(2 * k + 1)) * A[n - k]
-        A[n] = total
-    return A
+    c = [Fraction((-1) ** n, math.factorial(2 * n + 1)) for n in range(N + 1)]
+    return [-Fraction(x) for x in _invert(c)]
 
 
 def zeta_hat_bernoulli(N):
@@ -259,84 +262,56 @@ def zeta_hat_bernoulli(N):
 # identity verifiers
 
 
-def _sigma1(n):
-    return sigma(1, n)
+def _sigma_series(m, N):
+    """sigma_m(1..N) as a series with constant term 0."""
+    return TruncatedSeries([0] + [sigma(m, n) for n in range(1, N + 1)])
 
 
-def _log_derivative_pairs(N, g, P):
-    for n in range(1, N + 1):
-        yield n, sum(g[k] * P[n - k] for k in range(1, n + 1)), n * P[n]
+def _series_check(name, N, lhs, rhs):
+    """Check that two series agree in the coefficients 1..N."""
+    return check_all(name, N, ((n, lhs[n], rhs[n]) for n in range(1, N + 1)))
 
 
 def _log_derivative_check(name, N, g, P):
-    """Check sum_{k<=n} g(k) P(n-k) = n P(n) for 1 <= n <= N."""
-    return check_all(name, N, _log_derivative_pairs(N, g, P))
+    """Check g * P = n P(n), i.e. sum_{k<=n} g(k) P(n-k) = n P(n); g(0) = 0."""
+    return _series_check(name, N, g * P, P.weighted())
 
 
 def _power_check(name, N, Q, k, B):
-    """Check sum_{Q(j) != 0} (n - (k+1) j) Q(j) B(n-j) = 0 for 1 <= n <= N.
+    """Check sum_j (n - (k+1) j) Q(j) B(n-j) = 0 for 1 <= n <= N.
 
-    This is the two-power recurrence that B = Q^k satisfies when Q(0) = 1.
+    This is the two-power recurrence that B = Q^k satisfies when Q(0) = 1:
+    n (Q B)(n) = (k+1) (jQ(j) * B)(n).
     """
-    k = Fraction(k)
-    support = [(j, Q[j]) for j in range(N + 1) if Q[j]]
-
-    def pairs():
-        for n in range(1, N + 1):
-            total = sum((n - (k + 1) * j) * q * B[n - j] for j, q in support if j <= n)
-            yield n, total, Fraction(0)
-
-    return check_all(name, N, pairs())
-
-
-def _sign(j):
-    # parity sign that stays an int for negative j, unlike (-1) ** j
-    return -1 if j % 2 else 1
+    lhs = (Q * B).weighted() - (k + 1) * (Q.weighted() * B)
+    return _series_check(name, N, lhs, TruncatedSeries([0], N))
 
 
 def _verify_euler_sigma(N):
-    pents = generalized_pentagonals(N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = Fraction(0)
-            for j, g in pents:
-                if g < n:
-                    lhs += -_sign(j) * _sigma1(n - g)
-            yield n, lhs, n * pentagonal_sign(n)
-
-    return check_all("euler_sigma", N, pairs())
+    g = -_sigma_series(1, N)
+    return _log_derivative_check("euler_sigma", N, g, pentagonal_series(N))
 
 
 def _verify_ramanujan_partition(N):
-    g = [0] + [_sigma1(k) for k in range(1, N + 1)]
+    g = _sigma_series(1, N)
     return _log_derivative_check("ramanujan_partition", N, g, partition_series(N))
 
 
 def _verify_plane_partition(N):
-    g = [0] + [sigma(2, k) for k in range(1, N + 1)]
+    g = _sigma_series(2, N)
     return _log_derivative_check("plane_partition", N, g, plane_partition_series(N))
 
 
 def _verify_colored(N, r):
     r = Fraction(r)
-    g = [0] + [r * _sigma1(k) for k in range(1, N + 1)]
+    g = r * _sigma_series(1, N)
     return _log_derivative_check("colored", N, g, colored_series(r, N))
 
 
 def _verify_moments(N, m):
-    p = partition_series(N)
-    M = [Fraction(0)] * (N + 1)
-    for n in range(1, N + 1):
-        M[n] = sum(sigma(m, d) * p[n - d] for d in range(1, n + 1))
-    pents = generalized_pentagonals(N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            rhs = sum(_sign(j) * M[n - g] for j, g in pents if g <= n)
-            yield n, Fraction(sigma(m, n)), rhs
-
-    return check_all(f"moments[m={m}]", N, pairs())
+    S = _sigma_series(m, N)
+    rhs = pentagonal_series(N) * (S * partition_series(N))
+    return _series_check(f"moments[m={m}]", N, S, rhs)
 
 
 def _partition_enumeration(N):
@@ -346,72 +321,38 @@ def _partition_enumeration(N):
 
 def _verify_frequency_indicator(N, kmax):
     result = _partition_enumeration(N)
-    pents = generalized_pentagonals(N)
+    Q = pentagonal_series(N)
 
     def pairs():
         for k in range(1, kmax + 1):
+            lhs = Q * TruncatedSeries([result.freq(k, n) for n in range(N + 1)])
             for n in range(1, N + 1):
-                lhs = Fraction(0)
-                for j, g in pents:
-                    if g <= n:
-                        lhs += _sign(j) * result.freq(k, n - g)
-                yield (n, k), lhs, Fraction(1 if n % k == 0 else 0)
+                yield (n, k), lhs[n], Fraction(1 if n % k == 0 else 0)
 
     return check_all(f"frequency_indicator[k<={kmax}]", N, pairs())
 
 
 def _verify_mu_frequency(N):
     result = _partition_enumeration(N)
-    P = result.P
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = sum(mobius(k) * result.freq(k, n) for k in range(1, n + 1))
-            yield n, lhs, P[n - 1]
-
-    return check_all("mu_frequency", N, pairs())
+    lhs = [sum(mobius(k) * result.freq(k, n) for k in range(1, n + 1))
+           for n in range(N + 1)]
+    return _series_check("mu_frequency", N, lhs, (0,) + result.P)
 
 
 def _verify_ewell(N):
-    tris = triangular_numbers(N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = Fraction(0)
-            for k, t in tris:
-                if t < n:
-                    lhs += (-1) ** k * (2 * k + 1) * _sigma1(n - t)
-            rhs = Fraction(0)
-            for k, t in tris:
-                if t == n:
-                    rhs = Fraction((-1) ** (k + 1) * k * (k + 1) * (2 * k + 1), 6)
-            yield n, lhs, rhs
-
-    return check_all("ewell", N, pairs())
+    J = jacobi_cube_series(N)
+    rhs = J.weighted() * Fraction(-1, 3)
+    return _series_check("ewell", N, _sigma_series(1, N) * J, rhs)
 
 
 def _verify_sigma_convolution(N):
-    p = partition_series(N)
-    pents = generalized_pentagonals(N)
-
-    def pairs():
-        for n in range(1, N + 1):
-            lhs = sum(_sigma1(k) * _sigma1(n - k) for k in range(1, n))
-            rhs = Fraction(0)
-            for j, g in pents:
-                if g <= n:
-                    rhs += -_sign(j) * (n - g) * g * p[n - g]
-            yield n, Fraction(lhs), rhs
-
-    return check_all("sigma_convolution", N, pairs())
+    S = _sigma_series(1, N)
+    rhs = -(pentagonal_series(N).weighted() * partition_series(N).weighted())
+    return _series_check("sigma_convolution", N, S * S, rhs)
 
 
 def _verify_zeta_rec(N):
-    got = zeta_hat(N)
-    want = zeta_hat_bernoulli(N)
-    return check_all(
-        "zeta_rec", N, ((n, got[n], want[n]) for n in range(1, N + 1))
-    )
+    return _series_check("zeta_rec", N, zeta_hat(N), zeta_hat_bernoulli(N))
 
 
 def _verify_pr_ps(N, r, s, Q=None):
@@ -425,13 +366,13 @@ def _verify_pr_ps(N, r, s, Q=None):
 
 def _verify_lehmer_gen(N, r):
     r = Fraction(r)
-    P = partition_power(r, N, method="direct")
+    P = TruncatedSeries(partition_power(r, N, method="direct"))
     return _power_check(f"lehmer_gen[r={r}]", N, pentagonal_series(N), -r, P)
 
 
 def _verify_ramanujan_gen(N, r):
     r = Fraction(r)
-    P = partition_power(r, N, method="direct")
+    P = TruncatedSeries(partition_power(r, N, method="direct"))
     return _power_check(f"ramanujan_gen[r={r}]", N, jacobi_cube_series(N), -r / 3, P)
 
 
@@ -465,13 +406,10 @@ def gauss_g(N):
 
     g(2m-1) = 2*sigma1(2m-1); g(2m) = -2*sigma1(2m) + 2*sigma1(m).
     """
-    g = [Fraction(0)] * (N + 1)
-    for n in range(1, N + 1):
-        if n % 2:
-            g[n] = Fraction(2 * _sigma1(n))
-        else:
-            g[n] = Fraction(-2 * _sigma1(n) + 2 * _sigma1(n // 2))
-    return g
+    s = _sigma_series(1, N)
+    return [Fraction(0)] + [
+        2 * s[n] if n % 2 else 2 * (s[n // 2] - s[n]) for n in range(1, N + 1)
+    ]
 
 
 def theta_product_matrix(z, N):
@@ -488,38 +426,40 @@ def _verify_gauss_g(N):
     g = gauss_g(N)
     m = theta_product_matrix(Fraction(1), N)
     g_from_matrix = column_weight_sums(m, lambda k: Fraction(k), N)
+    phi = phi_series(N)
+    rec = TruncatedSeries(g) * phi
 
     def pairs():
         for n in range(1, N + 1):
             yield ("g", n), g[n], g_from_matrix[n]
-        for n, lhs, rhs in _log_derivative_pairs(N, g, phi_series(N)):
-            yield ("rec", n), lhs, rhs
+        for n in range(1, N + 1):
+            yield ("rec", n), rec[n], n * phi[n]
 
     return check_all("gauss_g", N, pairs())
 
 
 def _verify_newton_symmetric(N, x):
     xs = [Fraction(v) for v in x]
-    p = [0] + [sum(v ** k for v in xs) for k in range(1, N + 1)]
+    p = TruncatedSeries([0] + [sum(v ** k for v in xs) for k in range(1, N + 1)])
     return _log_derivative_check("newton_symmetric", N, p, symmetric_series(xs, N))
 
 
 def _verify_sin_truncated(N, m):
     m = int(m)
-    g = [0] + [
+    g = TruncatedSeries([0] + [
         -sum(Fraction(1, i ** (2 * n)) for i in range(1, m + 1))
         for n in range(1, N + 1)
-    ]
+    ])
     P = sin_normalized_series(m, N)
     return _log_derivative_check(f"sin_truncated[m={m}]", N, g, P)
 
 
 def _verify_gamma_truncated(N, m):
     m = int(m)
-    g = [0, 0] + [
+    g = TruncatedSeries([0, 0] + [
         (-1) ** (n - 1) * sum(Fraction(1, i ** n) for i in range(1, m + 1))
         for n in range(2, N + 1)
-    ]
+    ])
     P = gamma_truncated_series(m, N)
     return _log_derivative_check(f"gamma_truncated[m={m}]", N, g, P)
 
@@ -554,13 +494,19 @@ _REGISTRY = {
 IDENTITY_KEYS = tuple(sorted(_REGISTRY))
 
 
-def verify(key, N=None, **params):
-    """Run one registered identity check; a bad key, parameter or N is a ValueError."""
+def _lookup(key):
+    """The check registered as key, its defaults and the names of its parameters."""
     try:
         fn, defaults = _REGISTRY[key]
     except KeyError:
         raise ValueError(f"unknown identity key: {key!r}") from None
-    unknown = sorted(set(params) - set(inspect.signature(fn).parameters))
+    return fn, defaults, set(inspect.signature(fn).parameters)
+
+
+def verify(key, N=None, **params):
+    """Run one registered identity check; a bad key, parameter or N is a ValueError."""
+    fn, defaults, names = _lookup(key)
+    unknown = sorted(set(params) - names)
     if unknown:
         raise ValueError(f"identity {key!r} takes no parameter {', '.join(unknown)}")
     kwargs = dict(defaults)

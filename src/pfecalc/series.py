@@ -2,6 +2,8 @@
 
 A series carries coefficients for q^0 .. q^N and nothing beyond; arithmetic
 truncates to the smaller order of its operands and never extends precision.
+Products and powers run on int while a value is integral (arith.demote and
+arith.divide) and return Fraction coefficients.
 """
 
 from fractions import Fraction
@@ -63,13 +65,18 @@ class TruncatedSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The Cauchy product, walking the sparser factor's nonzero terms."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            out.append(sum(a[j] * b[k - j] for j in range(k + 1)))
+        a = [demote(c) for c in self.coeffs[: n + 1]]
+        b = [demote(c) for c in other.coeffs[: n + 1]]
+        if b.count(0) > a.count(0):
+            a, b = b, a
+        out = [0] * (n + 1)
+        for j, c in enumerate(a):
+            if c:
+                out[j:] = [y * c + x for x, y in zip(out[j:], b)]
         return TruncatedSeries(out)
 
     __rmul__ = __mul__

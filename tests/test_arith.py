@@ -42,6 +42,14 @@ def test_sigma():
     assert arith.sigma(1, 6) == 12
     assert arith.sigma(2, 6) == 1 + 4 + 9 + 36
     assert arith.sigma(0, 12) == 6  # divisor count
+    assert type(arith.sigma(2, 6)) is int
+
+
+def test_sigma_negative_powers_are_exact():
+    assert arith.sigma(-1, 6) == 2 and type(arith.sigma(-1, 6)) is Fraction
+    assert arith.sigma(-2, 6) == Fraction(50, 36)
+    for n in range(1, 30):
+        assert arith.sigma(-3, n) == sum(Fraction(1, d ** 3) for d in arith.divisors(n))
 
 
 def test_sigma_odd_even_split():

@@ -283,6 +283,13 @@ def test_verify_rejects_a_parameter_its_check_does_not_take(capsys, flags):
     assert err.startswith("error: identity 'euler_sigma' takes no parameter ")
 
 
+@pytest.mark.parametrize("flags", [["--series", "1,2"], ["--random-series"]])
+def test_verify_names_the_series_flag_a_check_does_not_take(capsys, flags):
+    code, out, err = run(capsys, "verify", "euler_sigma", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: identity 'euler_sigma' takes no parameter {flags[0]}\n"
+
+
 @pytest.mark.parametrize("command", ["to-product", "from-g", "roots-check"])
 def test_negative_order_is_a_usage_error(tmp_path, capsys, command):
     f = tmp_path / "in.txt"

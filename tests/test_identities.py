@@ -162,6 +162,24 @@ def test_report_failure_carries_first_index():
     assert good and "pass" in good.describe()
 
 
+def test_log_derivative_check_reports_the_first_failure():
+    N = 12
+    P = list(identities.partition_series(N).coeffs)
+    P[7] += 1
+    sigma1 = identities._sigma_series(1, N)
+    report = identities._log_derivative_check("demo", N, sigma1, TruncatedSeries(P))
+    assert (report.first_failure, report.lhs, report.rhs) == (7, 105, 112)
+
+
+def test_power_check_reports_the_first_failure():
+    N, r = 14, Fraction(5, 2)
+    B = identities.partition_power(r, N)
+    B[9] += Fraction(1, 3)
+    Q = identities.pentagonal_series(N)
+    report = identities._power_check("demo", N, Q, -r, TruncatedSeries(B))
+    assert (report.first_failure, report.lhs, report.rhs) == (9, 3, 0)
+
+
 def test_rational_power_identities_hold():
     assert identities.verify("fibonacci_power", N=20, r=Fraction(1, 2)).passed
     assert identities.verify("squares_rec", N=30, k=Fraction(3, 2)).passed
@@ -169,5 +187,5 @@ def test_rational_power_identities_hold():
 
 
 def test_moments_parameter():
-    for m in (1, 2, 3):
+    for m in (-2, -1, 0, 1, 2, 3):
         assert identities.verify("moments", N=60, m=m).passed

@@ -67,6 +67,32 @@ def test_mul_commutative_associative():
         assert (a * b) * c == a * (b * c)
 
 
+def test_mul_matches_the_dense_double_sum():
+    rng = random.Random(11)
+
+    def random_series(order):
+        rational, sparse = rng.random() < 0.5, rng.random() < 0.5
+
+        def coefficient():
+            if sparse and rng.random() < 0.8:
+                return 0
+            if rational:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            return rng.randint(-9, 9)
+
+        return TruncatedSeries([coefficient() for _ in range(order + 1)])
+
+    for _ in range(60):
+        orders = rng.sample(range(26), 2)
+        a, b = (random_series(order) for order in orders)
+        want = [
+            sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(min(orders) + 1)
+        ]
+        for got in (a * b, b * a):
+            assert list(got.coeffs) == want
+            assert _all_fractions(got)
+
+
 def random_integer_unit_series(rng, N):
     return TruncatedSeries([1] + [rng.randint(-6, 6) for _ in range(N)])
 

@@ -16,7 +16,7 @@ from .arith import (
     sigma,
     sigma_odd_even,
 )
-from .series import TruncatedSeries, power_rational
+from .series import TruncatedSeries
 from .pfe import (
     CombinedRow,
     EnumerationError,

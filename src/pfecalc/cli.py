@@ -183,6 +183,8 @@ def cmd_from_g(args):
 
 
 def cmd_verify(args):
+    if args.seed is not None and not args.random_series:
+        raise UsageError("--seed needs --random-series")
     params = _series_params(args)
     flag = "--series" if args.series is not None else (
         "--random-series" if args.random_series else None)
@@ -193,7 +195,7 @@ def cmd_verify(args):
             coeffs = _parse_rational_list(args.series)
             params["Q"] = TruncatedSeries(coeffs, args.order or len(coeffs) - 1)
         elif args.random_series:
-            rng = random.Random(args.seed)
+            rng = random.Random(args.seed or 0)
             N = args.order or 40
             coeffs = [Fraction(1)] + [
                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(N)
@@ -290,7 +292,7 @@ def build_parser():
                 x="comma-separated rationals for newton_symmetric")
     p.add_argument("--series", help="comma-separated coefficients of Q")
     p.add_argument("--random-series", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of --random-series (default 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("congruence", help="check one congruence family")

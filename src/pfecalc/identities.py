@@ -21,7 +21,7 @@ from .arith import (
     triangular_numbers,
     bernoulli,
 )
-from .series import TruncatedSeries, power_rational
+from .series import TruncatedSeries
 from .pfe import _invert, build_product_matrix, column_weight_sums, enumerate_pfe
 from .report import check_all
 from . import oracle
@@ -84,7 +84,7 @@ def jtp_series(z, N):
 @lru_cache(maxsize=None)
 def partition_series(N):
     """1/(q;q)_inf: the ordinary partition numbers."""
-    return power_rational(pentagonal_series(N), -1)
+    return pentagonal_series(N).power(-1)
 
 
 @lru_cache(maxsize=None)
@@ -112,21 +112,21 @@ def plane_partition_series(N):
 
 def colored_series(r, N):
     """Every part in r colors: 1/(q;q)_inf^r, rational r allowed."""
-    return power_rational(pentagonal_series(N), -Fraction(r))
+    return pentagonal_series(N).power(-Fraction(r))
 
 def eta_power_series(r, N):
     """(q;q)_inf^r (no fractional-power prefactor; indexed from q^0)."""
-    return power_rational(pentagonal_series(N), Fraction(r))
+    return pentagonal_series(N).power(Fraction(r))
 
 
 @lru_cache(maxsize=None)
 def fibonacci_series(N):
     """1/(1 - q - q^2): Fibonacci numbers 1, 1, 2, 3, 5, ..."""
-    return power_rational(TruncatedSeries([1, -1, -1], N), -1)
+    return TruncatedSeries([1, -1, -1], N).power(-1)
 
 
 def fibonacci_power_series(r, N):
-    return power_rational(TruncatedSeries([1, -1, -1], N), -Fraction(r))
+    return TruncatedSeries([1, -1, -1], N).power(-Fraction(r))
 
 
 def exp_series(a, N):
@@ -224,9 +224,9 @@ def partition_power(r, N, method="triangular"):
     """
     r = Fraction(r)
     if method in ("direct", "pentagonal"):
-        return list(power_rational(pentagonal_series(N), -r).coeffs)
+        return list(pentagonal_series(N).power(-r).coeffs)
     if method == "triangular":
-        return list(power_rational(jacobi_cube_series(N), -r / 3).coeffs)
+        return list(jacobi_cube_series(N).power(-r / 3).coeffs)
     raise ValueError(f"unknown method: {method!r}")
 
 
@@ -360,8 +360,8 @@ def _verify_pr_ps(N, r, s, Q=None):
     if s == 0:
         raise ValueError("s must be nonzero")
     Q = partition_series(N) if Q is None else Q.truncate(N)
-    Ps = power_rational(Q, s)
-    return _power_check(f"pr_ps[r={r},s={s}]", N, Ps, r / s, power_rational(Q, r))
+    Ps = Q.power(s)
+    return _power_check(f"pr_ps[r={r},s={s}]", N, Ps, r / s, Q.power(r))
 
 
 def _verify_lehmer_gen(N, r):
@@ -386,19 +386,19 @@ def _verify_fibonacci_power(N, r):
 def _verify_squares_rec(N, k):
     k = Fraction(k)
     phi = phi_series(N)
-    return _power_check(f"squares_rec[k={k}]", N, phi, k, power_rational(phi, k))
+    return _power_check(f"squares_rec[k={k}]", N, phi, k, phi.power(k))
 
 
 def _verify_triangular_rec(N, k):
     k = Fraction(k)
     psi = psi_series(N)
-    return _power_check(f"triangular_rec[k={k}]", N, psi, k, power_rational(psi, k))
+    return _power_check(f"triangular_rec[k={k}]", N, psi, k, psi.power(k))
 
 
 def _verify_jtp_power_rec(N, r, z):
     r, z = Fraction(r), Fraction(z)
     J = jtp_series(z, N)
-    return _power_check(f"jtp_power_rec[r={r},z={z}]", N, J, r, power_rational(J, r))
+    return _power_check(f"jtp_power_rec[r={r},z={z}]", N, J, r, J.power(r))
 
 
 def gauss_g(N):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import is_prime, padic_valuation
-from .series import TruncatedSeries, power_rational
+from .series import TruncatedSeries
 from .pfe import series_to_pfe
 
 
@@ -104,6 +104,6 @@ def root_integrality(P, m, t, s):
     for n in range(1, N + 1):
         if P[n].denominator != 1 or P[n].numerator % mt != 0:
             raise ValueError(f"hypothesis fails: {m}^{t} does not divide P({n}) = {P[n]}")
-    root = power_rational(TruncatedSeries(P), Fraction(1, m ** s))
+    root = TruncatedSeries(P).power(Fraction(1, m ** s))
     coeffs = tuple(root.coeffs)
     return coeffs, all(_is_integer(c) for c in coeffs)

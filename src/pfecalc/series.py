@@ -2,20 +2,22 @@
 
 A series carries coefficients for q^0 .. q^N and nothing beyond; arithmetic
 truncates to the smaller order of its operands and never extends precision.
-Products and powers run on int while a value is integral (arith.demote and
-arith.divide) and return Fraction coefficients.
+Products run on int while a value is integral (arith.demote); powers run on
+int throughout, carrying C(n) = B(n) (D s^2)^n, which Z[1/s] makes integral
+(see TruncatedSeries.power).  Both return Fraction coefficients.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .arith import demote, divide
+from .arith import demote
 
 
 class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, order=None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be non-negative")
@@ -92,26 +94,39 @@ class TruncatedSeries:
     def power(self, r):
         """Rational power of a unit-constant series by the classical recurrence.
 
-        Requires c(0) = 1.  With r = p/s it uses s n B(n) = sum_{j=1..n}
-        ((p+s)j - s n) a(j) B(n-j), B(0) = 1, over the nonzero a(j) only, which
-        agrees with repeated multiplication for integer r >= 0 and with the
-        reciprocal for r = -1.
+        Requires c(0) = 1.  With r = p/s the power B satisfies s n B(n) =
+        sum_{j=1..n} ((p+s)j - s n) a(j) B(n-j), B(0) = 1, summed over the
+        nonzero a(j) only.  It runs on int: with D the lcm of the base's
+        denominators and w(j) = a(j) (D s^2)^j, the kernel carries C(n) =
+        B(n) (D s^2)^n, so s n C(n) = sum_j ((p+s)j - s n) w(j) C(n-j).  C(n)
+        is an integer, because every coefficient of the integral series A(D q)
+        to the power p/s lies in Z[1/s] with at most s^(2n) in its
+        denominator; so every division by s n is exact, and an inexact one
+        raises ArithmeticError.  One Fraction C(n) / (D s^2)^n is built per
+        coefficient at the end.
         """
         if self.coeffs[0] != 1:
             raise ValueError("power requires constant term 1")
         r = Fraction(r)
         p, s = r.numerator, r.denominator
-        a = [demote(c) for c in self.coeffs]
-        support = [j for j in range(1, len(a)) if a[j]]
-        out = [1]
-        for n in range(1, len(a)):
+        scale = lcm(*(c.denominator for c in self.coeffs)) * s * s
+        units = [1]
+        for _ in range(self.order):
+            units.append(units[-1] * scale)
+        w = [c.numerator * (u // c.denominator) for c, u in zip(self.coeffs, units)]
+        support = [j for j in range(1, len(w)) if w[j]]
+        C = [1]
+        for n in range(1, len(w)):
             total = 0
             for j in support:
                 if j > n:
                     break
-                total += ((p + s) * j - s * n) * a[j] * out[n - j]
-            out.append(divide(total, s * n))
-        return TruncatedSeries(out)
+                total += ((p + s) * j - s * n) * w[j] * C[n - j]
+            c, rem = divmod(total, s * n)
+            if rem:
+                raise ArithmeticError(f"power {r}: inexact division at n = {n}")
+            C.append(c)
+        return TruncatedSeries([Fraction(c, u) for c, u in zip(C, units)])
 
 
 def one(order):
@@ -124,7 +139,3 @@ def monomial(c, k, order):
     if k <= order:
         coeffs[k] = Fraction(c)
     return TruncatedSeries(coeffs)
-
-
-def power_rational(a, r):
-    return a.power(r)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -288,6 +289,27 @@ def test_verify_names_the_series_flag_a_check_does_not_take(capsys, flags):
     code, out, err = run(capsys, "verify", "euler_sigma", *flags)
     assert (code, out) == (2, "")
     assert err == f"error: identity 'euler_sigma' takes no parameter {flags[0]}\n"
+
+
+@pytest.mark.parametrize("key", ["euler_sigma", "pr_ps"])
+def test_verify_seed_needs_random_series(capsys, key):
+    code, out, err = run(capsys, "verify", key, "--seed", "5", "-n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed needs --random-series\n"
+
+
+def test_random_series_without_seed_draws_from_seed_zero(capsys, monkeypatch):
+    seeds, real = [], random.Random
+    monkeypatch.setattr(random, "Random", lambda seed: seeds.append(seed) or real(seed))
+    # the random Q has rational coefficients, so pr_ps runs the rescaled powers
+    argv = ["verify", "pr_ps", "-n", "30", "--r", "1/6", "--s", "5/7",
+            "--random-series", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["report"]["passed"] is True
+    assert run(capsys, *argv, "--seed", "0") == (0, out, "")
+    assert run(capsys, *argv, "--seed", "3")[0] == 0
+    assert seeds == [0, 0, 3]
 
 
 @pytest.mark.parametrize("command", ["to-product", "from-g", "roots-check"])

@@ -5,7 +5,7 @@ import pytest
 
 from pfecalc import roots
 from pfecalc.identities import partition_series
-from pfecalc.series import TruncatedSeries, power_rational
+from pfecalc.series import TruncatedSeries
 
 
 def random_integer_series(rng, N, scale=1):
@@ -21,7 +21,7 @@ def test_integrality_partition_series():
 
 def test_integrality_fractional_case():
     # (1 - q)^(-1/2): neither the coefficients nor the exponents are integers
-    P = list(power_rational(TruncatedSeries([1, -1], 12), Fraction(-1, 2)).coeffs)
+    P = list(TruncatedSeries([1, -1], 12).power(Fraction(-1, 2)).coeffs)
     result = roots.integrality_check(P)
     assert P[1] == Fraction(1, 2)
     assert result.b[1] == Fraction(1, 2)
@@ -119,8 +119,12 @@ def test_root_integrality_random():
         s = rng.randint(0, t - 1)
         N = rng.randint(8, 25)
         P = random_integer_series(rng, N, scale=m ** t)
-        _, integral = roots.root_integrality(P, m, t, s)
+        coeffs, integral = roots.root_integrality(P, m, t, s)
         assert integral, (m, t, s)
+        root, product = TruncatedSeries(coeffs), TruncatedSeries([1], N)
+        for _ in range(m ** s):
+            product = product * root
+        assert product == TruncatedSeries(P)
 
 
 def test_root_consistency_with_power():
@@ -129,5 +133,5 @@ def test_root_consistency_with_power():
         [1] + [Fraction(rng.randint(-5, 5)) for _ in range(20)]
     )
     for m in (2, 3):
-        root = power_rational(Q, Fraction(1, m))
-        assert power_rational(root, m) == Q
+        root = Q.power(Fraction(1, m))
+        assert root.power(m) == Q

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfecalc.series import TruncatedSeries, monomial, one, power_rational
+from pfecalc.series import TruncatedSeries, monomial, one
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -67,24 +67,25 @@ def test_mul_commutative_associative():
         assert (a * b) * c == a * (b * c)
 
 
+def random_series(rng, order, max_den=5):
+    """Sparse or dense, integer or rational, drawn at random."""
+    rational, sparse = rng.random() < 0.5, rng.random() < 0.5
+
+    def coefficient():
+        if sparse and rng.random() < 0.8:
+            return 0
+        if rational:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+        return rng.randint(-9, 9)
+
+    return TruncatedSeries([coefficient() for _ in range(order + 1)])
+
+
 def test_mul_matches_the_dense_double_sum():
     rng = random.Random(11)
-
-    def random_series(order):
-        rational, sparse = rng.random() < 0.5, rng.random() < 0.5
-
-        def coefficient():
-            if sparse and rng.random() < 0.8:
-                return 0
-            if rational:
-                return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            return rng.randint(-9, 9)
-
-        return TruncatedSeries([coefficient() for _ in range(order + 1)])
-
     for _ in range(60):
         orders = rng.sample(range(26), 2)
-        a, b = (random_series(order) for order in orders)
+        a, b = (random_series(rng, order) for order in orders)
         want = [
             sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(min(orders) + 1)
         ]
@@ -151,7 +152,7 @@ def test_power_rational_partition_numbers():
     # 1/prod(1-q^k) via the pentagonal expansion
     from pfecalc.identities import pentagonal_series
 
-    p = power_rational(pentagonal_series(30), -1)
+    p = pentagonal_series(30).power(-1)
     assert p[10] == 42
     assert p[30] == 5604
 
@@ -160,3 +161,55 @@ def test_equality_and_hash():
     assert TruncatedSeries([1, 2]) == TruncatedSeries([Fraction(1), Fraction(2)])
     assert hash(TruncatedSeries([1, 2])) == hash(TruncatedSeries([1, 2]))
     assert TruncatedSeries([1, 2]) != TruncatedSeries([1, 2, 0])
+
+
+def literal_power(a, r):
+    """a^r from s n B(n) = sum_j ((p+s)j - s n) a(j) B(n-j), all in Fraction."""
+    p, s = r.numerator, r.denominator
+    B = [Fraction(1)]
+    for n in range(1, a.order + 1):
+        total = sum(((p + s) * j - s * n) * a[j] * B[n - j] for j in range(1, n + 1))
+        B.append(total / (s * n))
+    return B
+
+
+def test_power_kernel_matches_the_fraction_recurrence():
+    rng = random.Random(17)
+    for _ in range(24):
+        a = TruncatedSeries((1,) + random_series(rng, 17, max_den=12).coeffs)
+        for s in (2, 3, 6, 7, 12):
+            for p in (-2 * s - 1, 1 - s, -1, 1, s + 1, 3 * s - 1):
+                r = Fraction(p, s)
+                got = a.power(r)
+                assert list(got.coeffs) == literal_power(a, r), (a, r)
+                assert _all_fractions(got)
+        prod = one(18)
+        for k in range(1, 4):
+            prod = prod * a
+            assert a.power(k) == prod
+            assert a.power(-k) * prod == one(18)
+            assert _all_fractions(a.power(-k))
+
+
+def test_partition_power_methods_agree_at_one_sixth():
+    from pfecalc.identities import partition_power
+
+    r = Fraction(1, 6)
+    want = partition_power(r, 300, "triangular")
+    assert all(type(c) is Fraction for c in want)
+    for method in ("pentagonal", "direct"):
+        assert partition_power(r, 300, method) == want
+
+
+def test_roots_of_rational_bases_give_back_the_base():
+    # bases with denominators, so the kernel rescales q by their lcm D > 1
+    from pfecalc.identities import gamma_truncated_series, jtp_series
+
+    J = jtp_series(Fraction(2, 3), 40)
+    assert J.power(Fraction(1, 2)) * J.power(Fraction(1, 2)) == J
+    cube_root = J.power(Fraction(1, 3))
+    assert cube_root * cube_root * cube_root == J
+    G = gamma_truncated_series(3, 30)
+    root = G.power(Fraction(1, 2))
+    assert _all_fractions(root)
+    assert root * root == G

@@ -62,9 +62,13 @@ def read_sequence_file(path, start=0):
     return values
 
 
-def _dense(values, start, N, what):
+def _check_order(N):
     if N < 0:
         raise UsageError(f"order must be non-negative, got {N}")
+
+
+def _dense(values, start, N, what):
+    _check_order(N)
     out = []
     for n in range(start, N + 1):
         if n not in values:
@@ -136,6 +140,7 @@ def _series_params(args):
 
 
 def cmd_expand(args):
+    _check_order(args.order)
     params = _series_params(args)
     try:
         series = identities.named_series(args.name, args.order, **params)

@@ -334,8 +334,11 @@ def _verify_frequency_indicator(N, kmax):
 
 def _verify_mu_frequency(N):
     result = _partition_enumeration(N)
-    lhs = [sum(mobius(k) * result.freq(k, n) for k in range(1, n + 1))
-           for n in range(N + 1)]
+    lhs = [0] * (N + 1)
+    for row, Fk in zip(result.rows, result._tables[1]):
+        mu = mobius(row.step)
+        if mu:
+            lhs = [x + mu * f for x, f in zip(lhs, Fk)]
     return _series_check("mu_frequency", N, lhs, (0,) + result.P)
 
 

@@ -20,7 +20,11 @@ one row's F from P, by the direct sum for explicit rows and otherwise by the
 row recurrence F(n) = z F(n-k) + b z P(n-k), one state per (b, z) part.
 Inside them a value is an int while it is integral and a Fraction from the
 first inexact division on (arith.demote and arith.divide), so integer specs
-run on int arithmetic; every public result holds Fractions.
+run on int arithmetic.  The tables stay demoted inside this module.  Each
+public call promotes them once, at its return, through one memo that builds a
+single Fraction per distinct int, so every public result holds Fractions and
+equal cells share one object.  The checkers read the demoted tables that
+EnumerationResult caches instead of demoting its Fractions again.
 """
 
 from dataclasses import dataclass
@@ -100,11 +104,36 @@ class PfeMatrix:
                 raise ValueError("form-1 layout requires distinct step indices")
 
 
-@dataclass
+class _Promoter(dict):
+    """Demoted values to Fractions, one per distinct int; one per public call.
+
+    A Fraction is kept as it is: hashing it for a lookup costs more than it saves.
+    """
+
+    def __missing__(self, n):
+        f = self[n] = Fraction(n)
+        return f
+
+    def __call__(self, values):
+        return [x if type(x) is Fraction else self[x] for x in values]
+
+
+@dataclass(frozen=True)
 class EnumerationResult:
+    """P and the frequency tables F, as Fractions; _tables holds them demoted.
+
+    enumerate_pfe seeds _tables with the tables it computed; a result built any
+    other way (by hand, by dataclasses.replace) computes it from its fields.
+    """
+
     P: tuple
     F: tuple  # F[i] is the table for rows[i], indexed 0..N; None if not kept
     rows: tuple
+
+    @cached_property
+    def _tables(self):
+        F = None if self.F is None else [[demote(x) for x in Fi] for Fi in self.F]
+        return [demote(x) for x in self.P], F
 
     @cached_property
     def _by_step(self):
@@ -129,6 +158,8 @@ def build_product_matrix(factors, N):
     sequence, given either as a callable k -> b_k or as a list indexed so that
     b[k] is valid for 1 <= k <= N.
     """
+    if N < 0:
+        raise ValueError(f"N must be non-negative, got {N}")
     rows = []
     for k in range(1, N + 1):
         for z, b in factors:
@@ -230,7 +261,7 @@ def _exponents(g, z):
 
 
 def _frequencies(row, P, N):
-    """F(0..N) of one row, as Fractions: a direct sum, or the row recurrence."""
+    """F(0..N) of one row, demoted: a direct sum, or the row recurrence."""
     F = [0] * (N + 1)
     if isinstance(row, ExplicitRow):
         entries = [(j, demote(v)) for j, v in row.entries.items()]
@@ -238,7 +269,7 @@ def _frequencies(row, P, N):
             for j, v in entries:
                 if j <= n:
                     F[n] += v * P[n - j]
-        return [Fraction(x) for x in F]
+        return F
     k = row.step
     for b, z in _parts(row):
         if b == 0:
@@ -249,7 +280,7 @@ def _frequencies(row, P, N):
             for n in range(start, N + 1, k):
                 state = z * (state + b * P[n - k])
                 F[n] += state
-    return [Fraction(x) for x in F]
+    return F
 
 
 def enumerate_pfe(m, N, U=None, V=None, with_freq=True):
@@ -258,13 +289,22 @@ def enumerate_pfe(m, N, U=None, V=None, with_freq=True):
     U maps a row to its weight (default: the row's step index); V maps n to a
     nonzero weight (default: n).  Raises EnumerationError naming n if V(n) = 0.
     """
+    if N < 0:
+        raise ValueError(f"N must be non-negative, got {N}")
     if U is None:
         U = lambda row: row.step
     rows = tuple(r for r in m.rows if not isinstance(r, ProductRow) or r.step <= N)
     g = _column_sums(rows, [U(row) for row in rows], N)
     P = _solve(g, N, V)
-    F = tuple(tuple(_frequencies(row, P, N)) for row in rows) if with_freq else None
-    return EnumerationResult(P=tuple(Fraction(x) for x in P), F=F, rows=rows)
+    F = [_frequencies(row, P, N) for row in rows] if with_freq else None
+    promote = _Promoter()
+    result = EnumerationResult(
+        P=tuple(promote(P)),
+        F=None if F is None else tuple(tuple(promote(Fi)) for Fi in F),
+        rows=rows,
+    )
+    vars(result)["_tables"] = (P, F)
+    return result
 
 
 def column_weight_sums(m, f, N):
@@ -274,14 +314,14 @@ def column_weight_sums(m, f, N):
     Returned as a list indexed by n with g[0] = 0.
     """
     weights = [_bval(f, row.step) for row in m.rows]
-    return [Fraction(x) for x in _column_sums(m.rows, weights, N)]
+    return _Promoter()(_column_sums(m.rows, weights, N))
 
 
-def _product_frequencies(b, z, P):
-    """Frequency tables F[0..N] of the single-factor product matrix."""
+def _product_frequencies(b, z, P, promote):
+    """Frequency tables F[0..N] of the single-factor product matrix, promoted."""
     N = len(P) - 1
-    return [[Fraction(0)] * (N + 1)] + [
-        _frequencies(ProductRow(k, b[k], z), P, N) for k in range(1, N + 1)]
+    return [promote([0] * (N + 1))] + [
+        promote(_frequencies(ProductRow(k, b[k], z), P, N)) for k in range(1, N + 1)]
 
 
 def series_to_pfe(P, z=1, with_freq=True):
@@ -301,8 +341,9 @@ def series_to_pfe(P, z=1, with_freq=True):
     if z == 0:
         raise ValueError("z must be nonzero")
     b = _exponents(_invert(P), z)
-    F = _product_frequencies(b, z, P) if with_freq else None
-    return [Fraction(x) for x in b], F
+    promote = _Promoter()
+    F = _product_frequencies(b, z, P, promote) if with_freq else None
+    return promote(b), F
 
 
 def g_to_pfe(g, with_freq=True):
@@ -316,16 +357,17 @@ def g_to_pfe(g, with_freq=True):
     g = [demote(x) for x in g]
     b = _exponents(g, 1)
     P = _solve(g, len(g) - 1)
-    F = _product_frequencies(b, 1, P) if with_freq else None
-    return [Fraction(x) for x in b], [Fraction(x) for x in P], F
+    promote = _Promoter()
+    F = _product_frequencies(b, 1, P, promote) if with_freq else None
+    return promote(b), promote(P), F
 
 
 def verify_divisor_sum(m, f, result, N):
     """Check sum_k g(k) P(n-k) = sum_k f(k) F_k(n) for n <= N, exactly."""
-    g = [demote(x) for x in column_weight_sums(m, f, N)]
-    P = [demote(x) for x in result.P]
+    g = _column_sums(m.rows, [_bval(f, row.step) for row in m.rows], N)
+    P, F = result._tables
     weights = [_bval(f, row.step) for row in result.rows]
-    F = [(demote(w), [demote(x) for x in Fi]) for w, Fi in zip(weights, result.F) if w]
+    F = [(demote(w), Fi) for w, Fi in zip(weights, F) if w]
 
     def pairs():
         for n in range(1, N + 1):
@@ -347,8 +389,8 @@ def frequency_row_check(m, k, result, N):
     row = result.rows[at_k[0]]
     if len(at_k) > 1 or not isinstance(row, ProductRow):
         raise ValueError("frequency_row_check needs a single product row per step")
-    Fk = [demote(x) for x in result.F[at_k[0]]]
-    P = [demote(x) for x in result.P]
+    P, F = result._tables
+    Fk = F[at_k[0]]
     b, z = demote(row.b), demote(row.z)
 
     def pairs():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pfecalc import identities
 from pfecalc.cli import main
 
 
@@ -320,3 +321,22 @@ def test_negative_order_is_a_usage_error(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: order must be non-negative, got -1\n"
+
+
+_SERIES_PARAMETERS = {
+    "jtp": ["--z", "2"], "colored": ["--r", "1/2"], "eta_power": ["--r", "2"],
+    "fibonacci_power": ["--r", "3"], "exp": ["--a", "1"],
+    "sin_normalized": ["--m", "2"], "gamma_truncated": ["--m", "2"],
+    "symmetric": ["--x", "1,2"],
+}
+
+
+def test_expand_rejects_a_negative_order_for_every_series(capsys):
+    for name in identities.SERIES_NAMES:
+        params = _SERIES_PARAMETERS.get(name, [])
+        code, out, _ = run(capsys, "expand", name, *params, "-n", "0")
+        assert code == 0, name
+        assert json.loads(out)["coefficients"] == [["1", "1"]], name
+        code, out, err = run(capsys, "expand", name, *params, "-n", "-3")
+        assert (code, out) == (2, ""), name
+        assert err == "error: order must be non-negative, got -3\n", name

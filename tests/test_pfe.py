@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfecalc import oracle, pfe
-from pfecalc.arith import mobius
+from pfecalc.arith import demote, mobius
 from pfecalc.pfe import (
     CombinedRow,
     EnumerationError,
@@ -55,6 +56,14 @@ def test_row_validation():
         ProductRow(step=1, b=Fraction(1), z=Fraction(0))
     with pytest.raises(ValueError):
         ExplicitRow(step=1, entries={0: Fraction(1)})
+
+
+def test_negative_order_is_rejected():
+    with pytest.raises(ValueError, match="got -1"):
+        build_product_matrix([(1, lambda k: 1)], -1)
+    with pytest.raises(ValueError, match="got -2"):
+        enumerate_pfe(all_ones_matrix(3), -2)
+    assert enumerate_pfe(all_ones_matrix(3), 0).P == (1,)
 
 
 def test_form1_requires_distinct_steps():
@@ -345,3 +354,72 @@ def test_product_specs_match_the_oracle():
             assert result.P[n] == oracle.p_direct(n, b, z)
             for k in range(1, N + 1):
                 assert result.freq(k, n) == oracle.f_direct(k, n, b, z)
+
+
+def _demoted_copy(result):
+    F = None if result.F is None else [[demote(x) for x in Fi] for Fi in result.F]
+    return [demote(x) for x in result.P], F
+
+
+def test_seeded_tables_equal_a_fresh_demotion():
+    rng = random.Random(38)
+    N = 12
+    matrices = [_random_mixed_matrix(rng, N) for _ in range(4)]
+    for z, den in ((Fraction(1), 1), (Fraction(-1, 2), 3)):
+        b = [0] + [Fraction(rng.randint(-3, 3), den) for _ in range(N)]
+        matrices.append(build_product_matrix([(z, b), (1, lambda k: 1)], N))
+        matrices.append(collapse_form1(matrices[-1]))
+    for m in matrices:
+        for with_freq in (True, False):
+            result = enumerate_pfe(m, N, with_freq=with_freq)
+            assert "_tables" in vars(result)  # seeded, not computed on first read
+            assert result._tables == _demoted_copy(result)
+            assert dataclasses.replace(result)._tables == _demoted_copy(result)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.P = ()
+
+
+def _bump(table, i, n):
+    """table with 1 added at [i][n], as a tuple of tuples."""
+    rows = [list(row) for row in table]
+    rows[i][n] += 1
+    return tuple(tuple(row) for row in rows)
+
+
+def test_checkers_read_the_fields_of_a_rebuilt_result():
+    N = 12
+    b = [0] + [Fraction(k % 3 + 1) for k in range(1, N + 1)]
+    m = build_product_matrix([(Fraction(1), b)], N)
+    result = enumerate_pfe(m, N)
+    f = lambda k: k
+    assert verify_divisor_sum(m, f, result, N).passed
+    assert all(frequency_row_check(m, k, result, N).passed for k in range(1, N + 1))
+    k, n = 3, 7  # rows[k - 1] is the row at step k
+    bad_F = dataclasses.replace(result, F=_bump(result.F, k - 1, n))
+    assert verify_divisor_sum(m, f, bad_F, N).first_failure == n
+    assert frequency_row_check(m, k, bad_F, N).first_failure == n
+    bad_P = dataclasses.replace(result, P=_bump([result.P], 0, n)[0])
+    # P(n) enters the left side at n + 1, through g(1) P(n)
+    assert verify_divisor_sum(m, f, bad_P, N).first_failure == n + 1
+    # and the row recurrence at step k at n + k
+    assert frequency_row_check(m, k, bad_P, N).first_failure == n + k
+    assert verify_divisor_sum(m, f, result, N).passed  # the original is untouched
+
+
+def test_integral_fraction_cells_next_to_equal_ints_are_fractions():
+    # U = 0 on the explicit row keeps P the partition numbers, so its cells
+    # (1/2) P(n - 2) are integral Fractions wherever P(n - 2) is even, next
+    # to the product row's int cells
+    N = 10
+    explicit = ExplicitRow(step=1, entries={2: Fraction(1, 2)})
+    products = all_ones_matrix(N).rows
+    U = lambda row: 0 if row is explicit else row.step
+    for rows in ((explicit, *products), (*products, explicit)):
+        result = enumerate_pfe(PfeMatrix(rows=rows), N, U=U)
+        cells = [x for Fi in result._tables[1] for x in Fi]
+        integral = {x for x in cells if type(x) is Fraction and x.denominator == 1}
+        assert integral & {x for x in cells if type(x) is int}
+        P, F = _literal_enumeration(rows, N, U, lambda n: n)
+        assert list(result.P) == P
+        assert [list(Fi) for Fi in result.F] == F
+        assert _all_fractions(result.P, *result.F)
